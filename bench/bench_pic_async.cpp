@@ -1,36 +1,22 @@
-//===-- bench/bench_pic_async.cpp - PIC async-pipeline overlap -----------===//
+//===-- bench/bench_pic_async.cpp - PIC step-graph submit overhead -------===//
 //
 // Part of the hichi-boris-dpcpp-repro project, under the MIT License.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Overlap efficiency of the PIC loop's double-buffered precalc/push
-/// pipeline: stage 1 on the "async-pipeline" backend (field precalc of
-/// chunk k+1 overlapped with the push of chunk k, pic/PicSimulation.h)
-/// against the fused serial stage as baseline, per lane count x chunk
-/// count. Every configuration's final state hash is checked for bitwise
-/// equality with the serial run — the pipeline's determinism guarantee —
-/// and the bench fails if any configuration disagrees.
-///
-/// Reported per configuration: stage-1 wall time, the precalc and push
-/// kernel busy times, and the overlap efficiency (1 = the smaller stage
-/// fully hidden behind the larger, 0 = serialized). Set
-/// HICHI_BENCH_JSON=<path> to also write hichi-bench-v1 records (stage =
-/// "step1" for the pipelined wall, "precalc" / "push-kernel" for the
-/// component busy times, "push" for the serial baseline).
-///
-/// HICHI_BENCH_BACKEND=async-pipeline (or serial) restricts the sweep
-/// like every other bench; the deposit stage always runs on "serial" so
-/// stage 3 never pollutes the stage-1 comparison.
-///
-/// A second sweep quantifies the step-graph win (exec/StepGraph.h):
-/// resubmit-vs-replay over a ladder of grid sizes with every stage on
-/// the async pipeline, reporting the launch-ledger and submit-overhead
-/// deltas of the measured window as stage "submit" records (submit =
-/// "graph" / "resubmit"). The bench fails unless, at the smallest grid
+/// Quantifies the step-graph win (exec/StepGraph.h) on the asynchronous
+/// PIC loop: resubmit-vs-replay over a ladder of grid sizes with every
+/// stage on the "sharded" backend (2 lanes), reporting the launch-ledger
+/// and submit-overhead deltas of the measured window as stage "submit"
+/// records (submit = "graph" / "resubmit"). A classic step issues every
+/// node of the captured graph as a counted launch, so the two ledgers
+/// compare like with like. The bench fails unless, at the smallest grid
 /// (where per-submit overhead dominates), graph mode is strictly lower
-/// in both launches/step and submit-µs/step — and bit-identical.
+/// in both launches/step and submit-µs/step — and bit-identical. Set
+/// HICHI_BENCH_JSON=<path> to also write the hichi-bench-v1 records;
+/// HICHI_BENCH_BACKEND (and the per-stage variables) pick other stage
+/// backends.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,15 +34,8 @@ using namespace hichi::pic;
 
 namespace {
 
-struct AsyncResult {
-  MeasuredSeries Step1; ///< stage-1 wall time per iteration
-  PicPipelineStats Pipeline{};
-  std::uint64_t Hash = 0;
-  int Chunks = 0;
-};
-
 /// Seeds the Langmuir-style standing oscillation (PerCell electrons per
-/// cell, x-velocity sine over the box) shared by both sweeps.
+/// cell, x-velocity sine over the box).
 void seedLangmuir(PicSimulation<double> &Sim, const GridSize &N,
                   int PerCell) {
   const Index NumParticles = N.count() * PerCell;
@@ -83,52 +62,9 @@ void seedLangmuir(PicSimulation<double> &Sim, const GridSize &N,
   }
 }
 
-/// One measured configuration: a fresh Langmuir-style plasma advanced
-/// warmup + Iterations x Steps steps; per-iteration stage-1 wall times
-/// from the simulation's accumulated push-stage stats.
-AsyncResult measureConfig(const GridSize &N, int PerCell,
-                          const std::string &PushBackend, int Lanes,
-                          int Chunks, const BenchSizes &Sizes) {
-  PicOptions<double> Options;
-  Options.LightVelocity = 1.0;
-  Options.SortEveryNSteps = 20;
-  Options.PushBackend = PushBackend;
-  Options.PushThreads = Lanes;
-  Options.PushPipelineChunks = Chunks;
-  Options.DepositBackend = "serial";
-  const Index NumParticles = N.count() * PerCell;
-  PicSimulation<double> Sim(N, {0, 0, 0}, {0.5, 0.5, 0.5}, NumParticles,
-                            ParticleTypeTable<double>::natural(), Options);
-  seedLangmuir(Sim, N, PerCell);
-
-  AsyncResult Out;
-  Sim.run(Sizes.StepsPerIteration); // warmup (first-touch, lanes, buffers)
-  const PicPipelineStats Warm = Sim.pipelineStats();
-  double Total = 0;
-  for (int It = 0; It < Sizes.Iterations; ++It) {
-    const double Before = Sim.pushStats().HostNs;
-    Sim.run(Sizes.StepsPerIteration);
-    Out.Step1.IterationNs.push_back(Sim.pushStats().HostNs - Before);
-    Total += Out.Step1.IterationNs.back();
-  }
-  Out.Step1.Nsps = nsPerParticlePerStep(Total, Sizes.Iterations,
-                                        double(NumParticles),
-                                        double(Sizes.StepsPerIteration));
-  // Pipeline components over the measured window only (the accumulated
-  // stats include the warmup, which would inflate the totals by one
-  // iteration's worth and skew the overlap ratio).
-  const PicPipelineStats All = Sim.pipelineStats();
-  Out.Pipeline.WallNs = All.WallNs - Warm.WallNs;
-  Out.Pipeline.PrecalcNs = All.PrecalcNs - Warm.PrecalcNs;
-  Out.Pipeline.PushNs = All.PushNs - Warm.PushNs;
-  Out.Hash = picStateHash(Sim.particles(), Sim.grid());
-  Out.Chunks = Sim.pipelineChunkCount();
-  return Out;
-}
-
 BenchRecord recordOf(const char *Stage, const std::string &Backend,
-                     int Threads, int Chunks, Index Particles,
-                     const BenchSizes &Sizes, const MeasuredSeries &Series) {
+                     int Threads, Index Particles, const BenchSizes &Sizes,
+                     const MeasuredSeries &Series) {
   BenchRecord R;
   R.Backend = Backend;
   R.Stage = Stage;
@@ -139,29 +75,9 @@ BenchRecord recordOf(const char *Stage, const std::string &Backend,
   R.Steps = Sizes.StepsPerIteration;
   R.Iterations = Sizes.Iterations;
   R.Threads = Threads;
-  R.FuseSteps = Chunks; // the pipeline's depth knob rides this field
-  if (Backend == "async-pipeline")
-    R.Submit = "event-chain"; // the pipeline is chained non-blocking submits
   R.setSeries(Series);
   return R;
 }
-
-/// Per-iteration series synthesized from a measured-window total
-/// (components have no per-iteration split, so every iteration gets the
-/// average — min/median/max then agree with the printed column scale).
-MeasuredSeries seriesOfTotal(double WindowTotalNs, Index Particles,
-                             const BenchSizes &Sizes) {
-  MeasuredSeries S;
-  const double PerIterationNs = WindowTotalNs / double(Sizes.Iterations);
-  for (int It = 0; It < Sizes.Iterations; ++It)
-    S.IterationNs.push_back(PerIterationNs);
-  S.Nsps = nsPerParticlePerStep(WindowTotalNs, Sizes.Iterations,
-                                double(Particles),
-                                double(Sizes.StepsPerIteration));
-  return S;
-}
-
-// --- resubmit-vs-replay submit-overhead sweep ----------------------------
 
 struct SubmitResult {
   double LaunchesPerStep = 0; ///< counted submits per step, measured window
@@ -172,7 +88,7 @@ struct SubmitResult {
 };
 
 /// Submit overhead of one grid size in one submission mode: every stage
-/// on the async pipeline (each launch is a counted non-blocking submit,
+/// on the sharded backend (each launch is a counted non-blocking submit,
 /// so the ledger isolates issue cost), warmup — where graph mode
 /// captures — then the submitOverhead() ledger deltas of the measured
 /// window. Replay keeps accruing SubmitNs (per-node re-issue cost) but
@@ -182,9 +98,9 @@ SubmitResult measureSubmit(const GridSize &N, int PerCell, bool UseGraph,
   PicOptions<double> Options;
   Options.LightVelocity = 1.0;
   Options.SortEveryNSteps = 20;
-  // Env-resolved stage backends (default: every stage on the pipeline);
-  // the sweep's own mode knob overrides the HICHI_BENCH_GRAPH default.
-  applyEnvPicBackends(Options, "async-pipeline");
+  // Env-resolved stage backends (default: every stage sharded); the
+  // sweep's own mode knob overrides the HICHI_BENCH_GRAPH default.
+  applyEnvPicBackends(Options, "sharded");
   Options.PushThreads = 2;
   Options.DepositThreads = 2;
   Options.FieldThreads = 2;
@@ -224,8 +140,8 @@ SubmitResult measureSubmit(const GridSize &N, int PerCell, bool UseGraph,
 bool sweepSubmitOverhead(const BenchSizes &Sizes, JsonReport &Report) {
   const std::vector<GridSize> Grids = {{8, 4, 4}, {16, 8, 8}, {32, 8, 8}};
   const int PerCell = 2; // small ensembles — submit overhead dominates
-  std::printf("\nstep-graph replay vs per-step resubmission (all stages on "
-              "'async-pipeline', 2 lanes, %d particles/cell):\n", PerCell);
+  std::printf("step-graph replay vs per-step resubmission (all stages on "
+              "'sharded', 2 lanes, %d particles/cell):\n", PerCell);
   std::printf("%-12s %10s %14s %12s %15s\n", "grid", "mode",
               "launches/step", "specs/step", "submit us/step");
   printRule(68);
@@ -248,8 +164,8 @@ bool sweepSubmitOverhead(const BenchSizes &Sizes, JsonReport &Report) {
           Graph.SubmitUsPerStep < Resubmit.SubmitUsPerStep;
     for (const SubmitResult *R : {&Resubmit, &Graph}) {
       const bool IsGraph = R == &Graph;
-      BenchRecord Rec = recordOf("submit", "async-pipeline", 2, 0,
-                                 NumParticles, Sizes, R->Submit);
+      BenchRecord Rec =
+          recordOf("submit", "sharded", 2, NumParticles, Sizes, R->Submit);
       Rec.Submit = IsGraph ? "graph" : "resubmit";
       Rec.Scenario = std::string("langmuir-") + GridName;
       Report.add(Rec);
@@ -270,81 +186,9 @@ bool sweepSubmitOverhead(const BenchSizes &Sizes, JsonReport &Report) {
 } // namespace
 
 int main() {
-  BenchSizes Sizes = BenchSizes::fromEnv();
-  const GridSize N{32, 8, 8};
-  const int PerCell = std::max(1, int(Sizes.Particles / N.count()));
-  const Index NumParticles = N.count() * PerCell;
-
-  std::printf("PIC async-pipeline overlap: %lld particles (%d/cell) on a "
-              "%lldx%lldx%lld grid, %d steps x %d iterations, deposit on "
-              "'serial'\n\n",
-              (long long)NumParticles, PerCell, (long long)N.Nx,
-              (long long)N.Ny, (long long)N.Nz, Sizes.StepsPerIteration,
-              Sizes.Iterations);
-
+  const BenchSizes Sizes = BenchSizes::fromEnv();
   JsonReport Report("bench_pic_async");
-
-  // Baseline: the fused interpolate+push stage on the serial backend.
-  const AsyncResult Serial =
-      measureConfig(N, PerCell, "serial", 0, 0, Sizes);
-  if (envBackendSelected("serial"))
-    Report.add(recordOf("push", "serial", 1, 0, NumParticles, Sizes,
-                        Serial.Step1));
-  std::printf("%-16s %6s %7s %11s %11s %11s %9s\n", "push backend", "lanes",
-              "chunks", "step1 ms", "precalc ms", "push ms", "overlap");
-  printRule(78);
-  std::printf("%-16s %6d %7s %11.3f %11s %11s %9s\n", "serial (fused)", 1,
-              "-", Serial.Step1.medianNs() / 1e6, "-", "-", "-");
-
-  bool AllHashesAgree = true;
-  if (envBackendSelected("async-pipeline")) {
-    const std::vector<std::pair<int, int>> Configs = {
-        {1, 0}, {2, 0}, {2, 8}, {4, 0}};
-    for (const auto &[Lanes, Chunks] : Configs) {
-      const AsyncResult R =
-          measureConfig(N, PerCell, "async-pipeline", Lanes, Chunks, Sizes);
-      const bool HashOk = R.Hash == Serial.Hash;
-      AllHashesAgree = AllHashesAgree && HashOk;
-      Report.add(recordOf("step1", "async-pipeline", Lanes, R.Chunks,
-                          NumParticles, Sizes, R.Step1));
-      Report.add(recordOf("precalc", "async-pipeline", Lanes, R.Chunks,
-                          NumParticles, Sizes,
-                          seriesOfTotal(R.Pipeline.PrecalcNs, NumParticles,
-                                        Sizes)));
-      Report.add(recordOf("push-kernel", "async-pipeline", Lanes, R.Chunks,
-                          NumParticles, Sizes,
-                          seriesOfTotal(R.Pipeline.PushNs, NumParticles,
-                                        Sizes)));
-      // All three time columns are per-iteration: step1 is the median
-      // measured wall, the components are the window totals averaged
-      // over the iterations.
-      std::printf("%-16s %6d %7d %11.3f %11.3f %11.3f %8.0f%%%s\n",
-                  "async-pipeline", Lanes, R.Chunks,
-                  R.Step1.medianNs() / 1e6,
-                  R.Pipeline.PrecalcNs / Sizes.Iterations / 1e6,
-                  R.Pipeline.PushNs / Sizes.Iterations / 1e6,
-                  100.0 * R.Pipeline.overlapEfficiency(),
-                  HashOk ? "" : "  HASH MISMATCH");
-    }
-  }
-
-  std::printf("\n(overlap = fraction of the smaller pipeline stage hidden "
-              "behind the larger; 1 lane pipelines submission only, and on "
-              "a single-core host compute kernels cannot physically "
-              "overlap — expect ~0%% in both cases, with the hash gate "
-              "still binding)\n");
-  std::printf("async-pipeline equivalence: %s (state hashes %s the fused "
-              "serial stage)\n",
-              AllHashesAgree ? "OK" : "FAIL",
-              AllHashesAgree ? "match" : "DIFFER from");
-
-  // The step-graph overhead gate needs the pipeline backend (on the
-  // synchronous backends host-side stage code replaces several counted
-  // launches, so the ledger comparison would be apples-to-oranges).
-  bool SubmitGateOk = true;
-  if (envBackendSelected("async-pipeline"))
-    SubmitGateOk = sweepSubmitOverhead(Sizes, Report);
-
+  const bool GateOk = sweepSubmitOverhead(Sizes, Report);
   Report.writeEnvRequested();
-  return AllHashesAgree && SubmitGateOk ? 0 : 1;
+  return GateOk ? 0 : 1;
 }

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The autotuner: per-stage execution knobs (backend, thread count, tile
-/// count, pipeline chunks, step-graph mode) chosen from a *measured*
+/// count, step-graph mode) chosen from a *measured*
 /// machine profile instead of hand-picked defaults. Planning is two
 /// phases:
 ///
@@ -74,10 +74,6 @@ struct StagePlan {
 struct TunePlan {
   StagePlan Push, Deposit, Field;
 
-  /// Ensemble chunks of the async precalc/push pipeline; 0 = auto.
-  /// Only meaningful when Push.Backend is asynchronous.
-  int PipelineChunks = 0;
-
   /// Capture the step's launch DAG once and replay it (StepGraph.h);
   /// chosen when the measured per-launch submit overhead of the planned
   /// backends is large enough that collapsing it pays.
@@ -137,8 +133,8 @@ bool registerAutoBackend(BackendRegistry &Registry);
 
 /// Fills every stage knob of \p Options (a pic::PicOptions; templated so
 /// the exec layer needs no pic include) that is still at its built-in
-/// default from \p Plan: stage backends left at "serial", thread/tile/
-/// chunk counts left at 0, and step-graph mode when off. Knobs the
+/// default from \p Plan: stage backends left at "serial", thread/tile
+/// counts left at 0, and step-graph mode when off. Knobs the
 /// caller set explicitly always win — assignment order is the
 /// precedence rule (CLI flag > env > plan > default).
 template <typename PicOptionsT>
@@ -147,8 +143,6 @@ void applyTunePlan(PicOptionsT &Options, const TunePlan &Plan) {
     Options.PushBackend = Plan.Push.Backend;
   if (Options.PushThreads == 0)
     Options.PushThreads = Plan.Push.Threads;
-  if (Options.PushPipelineChunks == 0)
-    Options.PushPipelineChunks = Plan.PipelineChunks;
   if (Options.DepositBackend == "serial")
     Options.DepositBackend = Plan.Deposit.Backend;
   if (Options.DepositThreads == 0)

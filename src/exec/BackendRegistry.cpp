@@ -6,7 +6,6 @@
 
 #include "exec/BackendRegistry.h"
 
-#include "exec/AsyncPipeline.h"
 #include "exec/Autotuner.h"
 #include "exec/Backends.h"
 #include "exec/ShardedBackend.h"
@@ -32,12 +31,6 @@ BackendRegistry::BackendRegistry() {
                   "miniSYCL kernel, NUMA arenas (paper Sec. 4.3)",
                   [](const BackendConfig &C) {
                     return std::make_unique<DpcppBackend>(C, /*NumaArenas=*/true);
-                  });
-  registerBackend("async-pipeline",
-                  "event-chained launches on pipeline lanes (non-blocking "
-                  "submit; overlaps PIC field precalc with the push)",
-                  [](const BackendConfig &C) {
-                    return std::make_unique<AsyncPipelineBackend>(C);
                   });
   registerBackend("sharded",
                   "persistent shards with per-shard FIFO lanes and "

@@ -31,8 +31,8 @@
 /// LaunchSpec::DependsOn: a backend must not start a launch before every
 /// listed event has completed. Synchronous backends (serial, openmp,
 /// dpcpp on CPU queues) run the launch inside submit() and return an
-/// already-complete event; asynchronous backends (async-pipeline, dpcpp
-/// on non-blocking simulated-GPU queues) return early and execute later.
+/// already-complete event; asynchronous backends (sharded, dpcpp on
+/// non-blocking simulated-GPU queues) return early and execute later.
 /// The historic blocking launch() survives as a thin
 /// `submit(...).wait()` facade, so call sites that want synchronous
 /// semantics keep their exact shape.
@@ -47,7 +47,7 @@
 /// Layering: this header is dependency-light (no minisycl/threading
 /// includes) so that templated drivers anywhere in the tree can accept an
 /// ExecutionBackend&. The concrete backends live in Backends.h/.cpp and
-/// AsyncPipeline.h/.cpp, and the string-keyed factory in
+/// ShardedBackend.h/.cpp, and the string-keyed factory in
 /// BackendRegistry.h/.cpp.
 ///
 //===----------------------------------------------------------------------===//
@@ -99,7 +99,7 @@ namespace exec {
 /// instance is an immutable strategy + configuration pair).
 struct BackendConfig {
   /// Worker threads; 0 means every worker the pool / queue has (for the
-  /// async-pipeline backend: its lane count, default 2).
+  /// sharded backend: its shard count, default 4).
   int Threads = 0;
 
   /// Dynamic-scheduling chunk size in particles; 0 picks the same
@@ -217,20 +217,15 @@ public:
 
   /// True if asynchronous submission is this backend's *intrinsic*
   /// model — submit() returns before the launch executes regardless of
-  /// context (async-pipeline). Drivers use it to pick event-chained
-  /// submission over mega-kernels (StepLoop.h, FusionMode::Auto) and to
-  /// enable the PIC loop's double-buffered precalc/push pipeline
+  /// context (sharded). Drivers use it to pick event-chained submission
+  /// over mega-kernels (StepLoop.h, FusionMode::Auto) and to decide
+  /// whether a stage wall needs an explicit wait to stay exact
   /// (pic/PicSimulation.h). Note: dpcpp also returns deferred events
   /// when the per-launch ExecutionContext carries a non-blocking queue,
   /// but the backend cannot see the queue at query time, so it reports
   /// false — callers who want chained submission there opt in explicitly
   /// via FusionMode::EventChain (hichi_push --chain).
   virtual bool isAsynchronous() const { return false; }
-
-  /// How many launches this backend can have in flight simultaneously
-  /// (1 for synchronous backends; the lane count for async-pipeline).
-  /// Pipelined callers size their chunking from it.
-  virtual int concurrency() const { return 1; }
 
   /// Number of persistent shards this backend partitions work into, or
   /// 0 for non-sharded backends. Drivers that can route per-shard work

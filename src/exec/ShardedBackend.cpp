@@ -18,8 +18,8 @@ using namespace hichi;
 using namespace hichi::exec;
 
 ShardedBackend::ShardedBackend(const BackendConfig &Config) {
-  // Threads = shard count. Like the async-pipeline's lanes, shard
-  // workers mostly sleep between launches, so honouring an
+  // Threads = shard count. Shard workers mostly sleep between
+  // launches (in dependency waits or on their lane), so honouring an
   // oversubscribed request up to a sanity cap beats clamping to the
   // core count — correctness tests sweep shard counts well past it.
   const int Count = Config.Threads > 0 ? std::min(Config.Threads, 64) : 4;
@@ -27,7 +27,7 @@ ShardedBackend::ShardedBackend(const BackendConfig &Config) {
   for (int S = 0; S < Count; ++S)
     Shards[std::size_t(S)].Lane =
         std::make_unique<threading::InOrderWorkQueue<Task>>(
-            [this, S](Task &T) { runWorkerTask(S, T); }, /*Workers=*/1);
+            [this, S](Task &T) { runWorkerTask(S, T); });
 }
 
 ShardedBackend::~ShardedBackend() {

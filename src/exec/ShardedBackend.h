@@ -10,9 +10,9 @@
 ///
 ///   * a pinned worker — one dedicated thread (best-effort core-bound,
 ///     like the thread pool's workers) draining
-///   * a FIFO lane — a single-worker threading::InOrderWorkQueue, so
-///     everything routed to one shard executes in submission order
-///     without any cross-shard synchronization, and
+///   * a FIFO lane — a threading::InOrderWorkQueue, so everything
+///     routed to one shard executes in submission order without any
+///     cross-shard synchronization, and
 ///   * a first-touched arena — an aligned buffer whose pages are
 ///     touched by the owning worker before any kernel uses them, so
 ///     under Linux's first-touch policy the shard's staging data lands
@@ -146,7 +146,6 @@ public:
 
   const char *name() const override { return "sharded"; }
   bool isAsynchronous() const override { return true; }
-  int concurrency() const override { return int(Shards.size()); }
   int shardCount() const override { return int(Shards.size()); }
 
   /// Blocks until every launch submitted so far has completed on every

@@ -237,7 +237,7 @@ private:
 /// while forwarding it to the wrapped backend — so the capture step
 /// executes normally (bit-identical results, normal stats) and the
 /// graph learns the full DAG as a side effect. Forwards every query
-/// (name, shard count, concurrency, ...) so drivers that key tiling or
+/// (name, shard count, asynchrony, ...) so drivers that key tiling or
 /// routing decisions off backend properties capture the same shape they
 /// would run without the wrapper.
 class GraphCapture final : public ExecutionBackend {
@@ -248,11 +248,7 @@ public:
   const char *name() const override { return Base.name(); }
   bool needsQueue() const override { return Base.needsQueue(); }
   bool isAsynchronous() const override { return Base.isAsynchronous(); }
-  int concurrency() const override { return Base.concurrency(); }
   int shardCount() const override { return Base.shardCount(); }
-
-  /// The wrapped backend (drivers reach shard arenas etc. through it).
-  ExecutionBackend &base() { return Base; }
 
 protected:
   /// Records the node, forwards to the wrapped backend (an inner,

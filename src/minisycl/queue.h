@@ -152,13 +152,12 @@ private:
   std::mutex JitMutex; ///< JittedKernels is shared with the device thread
   std::unordered_set<const void *> JittedKernels;
 
-  /// The in-order device thread: a one-worker FIFO work queue shared
-  /// with the async-pipeline backend's machinery
-  /// (threading/WorkQueue.h). The worker thread itself is created
-  /// lazily on the first non-blocking submission, so eager queues never
-  /// pay for it.
+  /// The in-order device thread: a FIFO work queue shared with the
+  /// sharded backend's lanes (threading/WorkQueue.h). The worker thread
+  /// itself is created lazily on the first non-blocking submission, so
+  /// eager queues never pay for it.
   hichi::threading::InOrderWorkQueue<Command> DeviceQueue{
-      [this](Command &C) { execute(C); }, /*Workers=*/1};
+      [this](Command &C) { execute(C); }};
 };
 
 /// Queue-flavoured USM entry points (SYCL provides both spellings).

@@ -23,24 +23,23 @@
 /// stage-to-backend map. This is the substrate the standalone pusher
 /// benchmarks carve their kernel out of.
 ///
-/// Stages 3 and 4 are submitted as one event chain: the deposit's
-/// accumulate → reduce launches, then the field solve's launches with
-/// the reduction's event as the dependency of the first launch that
-/// reads J (the FDTD E advance / the spectral gather). On asynchronous
-/// backends the first FDTD half-step therefore overlaps the deposit
-/// reduction — it touches no J lattice — while the chain keeps the
-/// per-node operation order, and hence the state hash, bit-identical to
-/// the all-serial loop.
+/// One function, issueStep(), writes the step: the J clear, stage 1, the
+/// position wrap, the deposit chain (bin -> accumulate -> reduce) and
+/// the field chain, every one of them a backend launch ordered by event
+/// dependencies rather than by host waits. A classic step issues that
+/// sequence straight through the stage backends; a graph-mode step
+/// issues the very same sequence through GraphCapture wrappers once and
+/// replays the recorded DAG afterwards (exec/StepGraph.h). The field
+/// chain waits the deposit reduction only at the first launch that
+/// reads J (the FDTD E advance / the spectral gather), so on
+/// asynchronous backends the first FDTD half-step overlaps the
+/// reduction — while the chain keeps the per-node operation order, and
+/// hence the state hash, bit-identical to the all-serial loop.
 ///
-/// On an asynchronous push backend ("async-pipeline"), stage 1 runs as a
-/// **double-buffered precalc/push pipeline**: the field interpolation is
-/// split out of the fused interpolate+push kernel into a precalc kernel
-/// that fills a per-chunk FieldSample buffer, and chunk k's push (reading
-/// buffer k%2) overlaps chunk k+1's precalc (filling the other buffer) —
-/// event-chained so the per-particle operation sequence, and therefore
-/// the state hash, is bit-identical to the fused serial stage. See the
-/// "Asynchronous execution" section of docs/ARCHITECTURE.md for the
-/// dataflow diagram.
+/// On a sharded push backend stage 1 runs per shard: each shard samples
+/// the fields of its particle slice into its own first-touched arena
+/// and pushes them on its own lane (same per-particle operation
+/// sequence as the fused kernel, hence the same bits).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -128,19 +127,13 @@ template <typename Real> struct PicOptions {
 
   /// Execution backend (exec registry name) for the interpolate+push
   /// stage. Particles are independent during the push, so any registered
-  /// backend gives bit-identical results. Asynchronous backends
-  /// ("async-pipeline") run the stage as the double-buffered
-  /// precalc/push pipeline.
+  /// backend gives bit-identical results. The sharded backend runs the
+  /// stage as per-shard precalc/push launch pairs.
   std::string PushBackend = "serial";
 
-  /// Worker threads for the push stage; 0 means all (for
-  /// "async-pipeline": the lane count, default 2).
+  /// Worker threads for the push stage; 0 means all (for "sharded": the
+  /// shard count, default 4).
   int PushThreads = 0;
-
-  /// Chunks the double-buffered pipeline slices the ensemble into when
-  /// the push backend is asynchronous; 0 = auto (two per pipeline lane).
-  /// Ignored by synchronous push backends.
-  int PushPipelineChunks = 0;
 
   /// Execution backend for the current-deposition stage. The scatter
   /// couples particles through the grid, so it runs as per-tile
@@ -222,35 +215,12 @@ template <typename Real> struct PicOptions {
   MovingWindowOptions<Real> MovingWindow;
 
   /// Let the autotuner (exec/Autotuner.h) fill every stage knob still at
-  /// its built-in default — backends left at "serial", thread/tile/chunk
+  /// its built-in default — backends left at "serial", thread/tile
   /// counts left at 0, step graph left off — from the host's measured
   /// machine profile. Knobs set explicitly (above) always win. All tuned
   /// knobs are hash-invariant, so a tuned run's state hash still equals
   /// the serial reference.
   bool Tune = false;
-};
-
-/// Accumulated timing of the double-buffered precalc/push pipeline (only
-/// populated when the push backend is asynchronous). PrecalcNs and
-/// PushNs are per-kernel busy times summed over chunks and steps; WallNs
-/// is the wall time of the whole pipelined stage. Their gap is the
-/// overlap the pipeline achieved.
-struct PicPipelineStats {
-  double WallNs = 0;    ///< wall time of the pipelined stage 1
-  double PrecalcNs = 0; ///< field-precalc kernel busy time (all chunks)
-  double PushNs = 0;    ///< push kernel busy time (all chunks)
-
-  /// Fraction of the smaller stage that the pipeline hid behind the
-  /// larger one: 1 = perfect overlap (wall == max of the two stages),
-  /// 0 = fully serialized (wall >= their sum). Can exceed 1 slightly
-  /// when per-kernel timers under-count scheduling gaps.
-  double overlapEfficiency() const {
-    const double Hidden = PrecalcNs + PushNs - WallNs;
-    const double MaxHidden = PrecalcNs < PushNs ? PrecalcNs : PushNs;
-    if (MaxHidden <= 0)
-      return 0;
-    return Hidden > 0 ? Hidden / MaxHidden : 0;
-  }
 };
 
 /// A complete electromagnetic PIC simulation over one periodic box.
@@ -330,33 +300,40 @@ public:
     Particles.pushBack(P);
   }
 
-  /// Advances the simulation by one step. With PicOptions::UseStepGraph
-  /// the first step executes through a graph-capturing wrapper and every
-  /// later step replays the captured launch DAG with only the step
-  /// index and simulation time rebound; the classic host-ordered path
-  /// runs otherwise (both bit-identical,
-  /// tests/pic/GraphEquivalenceTest.cpp).
+  /// Advances the simulation by one step. Without PicOptions::UseStepGraph
+  /// the step is issued straight through the stage backends; with it,
+  /// the first step issues the same sequence through graph-capturing
+  /// wrappers and every later step replays the captured launch DAG with
+  /// only the step index and simulation time rebound (both
+  /// bit-identical, tests/pic/GraphEquivalenceTest.cpp).
   void step() {
-    if (Options.UseStepGraph) {
-      // The graph is keyed on the ensemble size AND the partition epoch:
-      // a fired rebalance re-splits the push blocks whose ranges the
-      // captured DAG baked in, so a repartition recaptures through the
-      // same seam a size change does.
-      if (Graph && Graph->instantiated() &&
-          GraphN == Particles.view().size() && GraphEpoch == PartitionEpoch)
-        replayStep();
-      else
+    bindStepParams();
+    if (!Options.UseStepGraph) {
+      StageCache.rewind();
+      ChainCache.rewind();
+      issueStep(*Backend, *DepositExec, *FieldExec, /*TimeStages=*/true);
+    } else {
+      Stopwatch Wall;
+      if (canSubmitStepAsync()) {
+        // sortByCell between replays is safe: it permutes particle
+        // storage in place, so every captured pointer stays valid.
+        Graph->replay(context());
+        ++GraphReplays;
+      } else {
         captureStep();
-      return;
+      }
+      addWall(GraphTiming, Wall);
     }
-    classicStep();
+    finishStep();
   }
 
-  /// True when the next step can run as the split submit/finish pair
-  /// below: graph mode is on and the captured DAG is valid for the
-  /// current ensemble size and partition epoch. False on the capture
-  /// step and after any invalidation — the driver falls back to step()
-  /// for those (which captures/recaptures), then splits again.
+  /// True when the next step can replay the captured graph, and hence run
+  /// as the split submit/finish pair below: graph mode is on and the DAG
+  /// is valid for the current ensemble size and partition epoch (a fired
+  /// rebalance or a window shift re-splits the ranges the graph baked
+  /// in). False on the capture step and after any invalidation — the
+  /// driver falls back to step() for those (which captures/recaptures),
+  /// then splits again.
   bool canSubmitStepAsync() const {
     return Options.UseStepGraph && Graph && Graph->instantiated() &&
            GraphN == Particles.size() && GraphEpoch == PartitionEpoch;
@@ -371,12 +348,9 @@ public:
   /// round. Must be paired with finishStepAsync() before any other
   /// member call. Only legal when canSubmitStepAsync().
   void submitStepAsync() {
-    StepParams.StepIndex = Steps;
-    StepParams.Scalars[0] = double(CurrentTime);
-    exec::ExecutionContext Ctx;
-    Ctx.Queue = Queue.get();
+    bindStepParams();
     AsyncStepWatch.reset();
-    Graph->replayNoWait(Ctx);
+    Graph->replayNoWait(context());
   }
 
   /// The wait half: blocks until the issued step completes, then runs
@@ -385,247 +359,131 @@ public:
   /// bit-identical to step() on the replay path.
   void finishStepAsync() {
     Graph->waitReplay();
-    const double Ns = double(AsyncStepWatch.elapsedNanoseconds());
-    GraphTiming.HostNs += Ns;
-    GraphTiming.ModeledNs += Ns;
+    addWall(GraphTiming, AsyncStepWatch);
     ++GraphReplays;
     finishStep();
   }
 
 private:
-  /// The classic host-ordered step: stages execute in program order with
-  /// host waits between them, resubmitting every launch.
-  void classicStep() {
+  /// The one five-stage step sequence, issued through \p PushX,
+  /// \p DepositX and \p FieldX: the stage backends themselves on a
+  /// classic step, or their GraphCapture wrappers on a capture step
+  /// (which records exactly these launches). In issue order:
+  ///
+  ///   1. the J clear, a one-item node the deposit chain waits;
+  ///   2. stage 1, interpolate + push (fused, or per-shard pairs);
+  ///   3. the position wrap, gated on every push launch — it keeps the
+  ///      unwrapped endpoint aside, since the deposition needs the
+  ///      physical displacement;
+  ///   4. the deposit chain (bin -> accumulate -> reduce) gated on
+  ///      {Wrapped, Cleared}, bit-identical to the serial particle-order
+  ///      scatter (TiledCurrentAccumulator.h);
+  ///   5. the field chain, gated on the reduction at the first launch
+  ///      that reads J, and for FDTD also on the wrap: advanceB writes
+  ///      the B lattice stage 1 reads, and under replay no host wait
+  ///      orders the two (the spectral gather is ordered through the
+  ///      reduction already).
+  ///
+  /// Every stage is a launch, so a classic step's launch ledger equals
+  /// the captured graph's node count. Everything is waited on return.
+  /// \p TimeStages accumulates the deposit and field stage walls (the
+  /// classic step's per-stage attribution; a capture step is timed as a
+  /// whole by its caller).
+  void issueStep(exec::ExecutionBackend &PushX,
+                 exec::ExecutionBackend &DepositX,
+                 exec::ExecutionBackend &FieldX, bool TimeStages) {
     const Real Dt = Options.TimeStep;
-    const Real C = Options.LightVelocity;
     auto View = Particles.view();
     const Index N = View.size();
     const ParticleTypeInfo<Real> *TypesPtr = Types.data();
-    YeeInterpolator<Real> Interp(Grid);
-
-    // Per-step rebinding surface (kernel bodies read the simulation
-    // time through it) and the reusable kernel-body caches — rewound,
-    // not reallocated, so the steady state allocates nothing.
-    StepParams.StepIndex = Steps;
-    StepParams.Scalars[0] = double(CurrentTime);
-    StageCache.rewind();
-    ChainCache.rewind();
-
-    Grid.clearCurrent();
-
-    // Stage 1 — interpolate + push, routed through the push backend
-    // (particles are independent here, so any backend is bit-identical).
-    // Old positions are kept aside because the deposition needs both ends
-    // of the same move.
-    OldPositions.resize(std::size_t(N));
-    Vector3<Real> *OldPos = OldPositions.data();
-    exec::ExecutionContext Ctx;
-    Ctx.Queue = Queue.get();
-    if (PushSharded() && N > 0) {
-      // Sharded backend: the ensemble is partitioned once into the
-      // backend's persistent shards; each shard precalcs its slice into
-      // its own first-touched arena and pushes it on its own lane,
-      // routed by shard affinity (same per-particle operation sequence
-      // as the fused serial kernel, hence the same bits).
-      shardedInterpPush(*Backend, View, Interp, OldPos, TypesPtr, Dt, C, N,
-                        Ctx);
-    } else if (Backend->isAsynchronous() && N > 0) {
-      // Asynchronous backend: the double-buffered precalc/push pipeline
-      // (same per-particle operation sequence, hence the same bits).
-      pipelinedInterpPush(*Backend, View, Interp, OldPos, TypesPtr, Dt, C, N,
-                          Ctx);
-    } else {
-      // One step per launch: the deposition below couples particles, so
-      // multi-step fusion is not legal for the PIC loop.
-      fusedInterpPush(*Backend, View, Interp, OldPos, TypesPtr, Dt, C, N,
-                      Ctx)
-          .wait();
-    }
-
-    // Stage 2 — wrap positions back into the box, keeping the unwrapped
-    // endpoints aside: the deposition needs the physical displacement.
-    NewPositions.resize(std::size_t(N));
-    Vector3<Real> *NewPos = NewPositions.data();
-    for (Index I = 0; I < N; ++I) {
-      auto P = View[I];
-      const Vector3<Real> Pos = P.position(); // unwrapped
-      NewPos[I] = Pos;
-      P.setPosition(Grid.wrapPosition(Pos));
-    }
-
-    // Stages 3 + 4 — one event chain. Stage 3: current deposition
-    // through the deposit backend, per-tile private accumulation plus
-    // fixed-order reduction, bit-identical to the serial particle-order
-    // scatter (TiledCurrentAccumulator.h). Stage 4: the Maxwell solve
-    // through the field backend, chained on the deposit reduction's
-    // event at the first launch that reads J — so on an asynchronous
-    // field backend the reduction's tail overlaps the first FDTD
-    // half-step. Kernel bodies live in ChainKernels until the final
-    // wait (the asynchronous lifetime contract).
-    exec::ExecEvent JReady;
-    {
-      Stopwatch Watch;
-      JReady = Accumulator->submitDeposit(Grid, View, OldPos, NewPos,
-                                          TypesPtr, Dt,
-                                          Options.ChargeConserving,
-                                          *DepositExec, Ctx,
-                                          DepositLaunchStats, ChainCache);
-      if (!FieldExec->isAsynchronous())
-        JReady.wait(); // keep the serial stage-wall attribution exact
-      const double Ns = double(Watch.elapsedNanoseconds());
-      DepositTiming.HostNs += Ns;
-      DepositTiming.ModeledNs += Ns;
-    }
-
-    {
-      // On an asynchronous field backend this wall includes the deposit
-      // tail the chain hides — the stage boundary blurs by design.
-      Stopwatch Watch;
-      const exec::ExecEvent FieldsDone =
-          Spectral ? Spectral->submitStep(Grid, Dt, *FieldExec, Ctx,
-                                          FieldTileCount, FieldLaunchStats,
-                                          JReady, ChainCache)
-                   : Solver.submitStep(Grid, Dt, *FieldPartition, *FieldExec,
-                                       Ctx, FieldLaunchStats, JReady,
-                                       ChainCache);
-      FieldsDone.wait();
-      JReady.wait(); // retire the deposit launches' stats publication too
-      const double Ns = double(Watch.elapsedNanoseconds());
-      FieldTiming.HostNs += Ns;
-      FieldTiming.ModeledNs += Ns;
-    }
-
-    finishStep();
-  }
-
-  /// Graph-mode first step: runs the full five-stage step through
-  /// graph-capturing wrappers so every launch is recorded into a fresh
-  /// StepGraph while executing normally (the capture step itself is
-  /// bit-identical to classicStep — stage 2's host loop and the host
-  /// J-clear simply become captured nodes, and the explicit edges
-  /// reproduce the orderings the classic host waits provided). The
-  /// instantiated graph is keyed on the ensemble size; any size change
-  /// discards it and recaptures.
-  void captureStep() {
-    const Real Dt = Options.TimeStep;
-    const Real C = Options.LightVelocity;
-    auto View = Particles.view();
-    const Index N = View.size();
-    const ParticleTypeInfo<Real> *TypesPtr = Types.data();
-    YeeInterpolator<Real> Interp(Grid);
-
-    StepParams.StepIndex = Steps;
-    StepParams.Scalars[0] = double(CurrentTime);
-
-    // A fresh graph owns nothing: kernel bodies live in the member
-    // caches (cleared, then rebuilt by this capture so replays keep
-    // pointing at stable storage) and stats in member RunStats.
-    Graph = std::make_unique<exec::StepGraph>(&StepParams);
-    PushCap = std::make_unique<exec::GraphCapture>(*Backend, *Graph);
-    DepositCap = std::make_unique<exec::GraphCapture>(*DepositExec, *Graph);
-    FieldCap = std::make_unique<exec::GraphCapture>(*FieldExec, *Graph);
-    StageCache.clear();
-    ChainCache.clear();
-
     OldPositions.resize(std::size_t(N));
     NewPositions.resize(std::size_t(N));
     Vector3<Real> *OldPos = OldPositions.data();
     Vector3<Real> *NewPos = NewPositions.data();
-    exec::ExecutionContext Ctx;
-    Ctx.Queue = Queue.get();
+    const exec::ExecutionContext Ctx = context();
 
-    Stopwatch Wall;
+    const exec::ExecEvent Cleared = submitStageKernel(
+        DepositX, ClearCurrentBody{&Grid}, 1, {}, DepositLaunchStats, Ctx);
 
-    // The J clear as a captured node (host call in classic mode): the
-    // deposit chain's bin/reduce depend on it, replacing program order.
-    DepositLaunchStats.SpecsBuilt += 1;
-    exec::LaunchSpec ClearSpec;
-    ClearSpec.Items = 1;
-    ClearSpec.StepBegin = Steps;
-    ClearSpec.StepEnd = Steps + 1;
-    const ClearCurrentBody &ClearBody =
-        StageCache.emplace(ClearCurrentBody{&Grid});
-    const exec::ExecEvent Cleared = DepositCap->submit(
-        ClearSpec,
-        exec::StepKernel(ClearBody, exec::kernelIdentity<ClearCurrentBody>()),
-        Ctx, DepositLaunchStats);
+    // Stage 1. Old positions are kept aside for the deposition.
+    std::vector<exec::ExecEvent> Pushed;
+    if (PushSharded() && N > 0)
+      Pushed = shardedInterpPush(PushX, View, OldPos, TypesPtr, Dt, N, Ctx);
+    else
+      Pushed.push_back(submitStageKernel(
+          PushX,
+          FusedPushBody{View, YeeInterpolator<Real>(Grid), OldPos, TypesPtr,
+                        Dt, Options.LightVelocity, &StepParams},
+          N, {}, PushTiming, Ctx));
 
-    // Stage 1 through the capturing wrapper — same routing as classic.
-    std::vector<exec::ExecEvent> PushDone;
-    if (PushSharded() && N > 0) {
-      PushDone = shardedInterpPush(*PushCap, View, Interp, OldPos, TypesPtr,
-                                   Dt, C, N, Ctx);
-    } else if (Backend->isAsynchronous() && N > 0) {
-      PushDone = pipelinedInterpPush(*PushCap, View, Interp, OldPos, TypesPtr,
-                                     Dt, C, N, Ctx);
-    } else {
-      PushDone.push_back(
-          fusedInterpPush(*PushCap, View, Interp, OldPos, TypesPtr, Dt, C, N,
-                          Ctx));
-    }
+    const exec::ExecEvent Wrapped = submitStageKernel(
+        PushX, WrapBody{View, NewPos, &Grid}, N, std::move(Pushed),
+        PushTiming, Ctx);
 
-    // Stage 2 (the wrap) as a captured node gated on every push launch —
-    // under replay the host no longer stands between the stages.
-    PushTiming.SpecsBuilt += 1;
-    exec::LaunchSpec WrapSpec;
-    WrapSpec.Items = N;
-    WrapSpec.StepBegin = Steps;
-    WrapSpec.StepEnd = Steps + 1;
-    WrapSpec.DependsOn = PushDone;
-    const WrapBody &Wrap = StageCache.emplace(WrapBody{View, NewPos, &Grid});
-    const exec::ExecEvent Wrapped = PushCap->submit(
-        WrapSpec, exec::StepKernel(Wrap, exec::kernelIdentity<WrapBody>()),
-        Ctx, PushTiming);
-
-    // Stages 3 + 4. BinOnBackend turns the host-side cell binning into a
-    // captured node (gated on {Wrapped, Cleared}); the field solve's
-    // first half-step additionally waits the wrap for the FDTD path,
-    // because advanceB writes the B lattice stage 1 reads and replay has
-    // no host ordering to protect that (the spectral solver's gather is
-    // transitively ordered through JReady already).
+    Stopwatch Watch;
     const exec::ExecEvent JReady = Accumulator->submitDeposit(
         Grid, View, OldPos, NewPos, TypesPtr, Dt, Options.ChargeConserving,
-        *DepositCap, Ctx, DepositLaunchStats, ChainCache,
-        {Wrapped, Cleared}, /*BinOnBackend=*/true);
+        DepositX, Ctx, DepositLaunchStats, ChainCache, {Wrapped, Cleared});
+    if (!FieldX.isAsynchronous())
+      JReady.wait(); // keep the serial stage-wall attribution exact
+    if (TimeStages)
+      addWall(DepositTiming, Watch);
+
+    // On an asynchronous field backend this wall includes the deposit
+    // tail the chain hides — the stage boundary blurs by design.
+    Watch.reset();
     const exec::ExecEvent FieldsDone =
-        Spectral ? Spectral->submitStep(Grid, Dt, *FieldCap, Ctx,
-                                        FieldTileCount, FieldLaunchStats,
-                                        JReady, ChainCache)
-                 : Solver.submitStep(Grid, Dt, *FieldPartition, *FieldCap,
-                                     Ctx, FieldLaunchStats, JReady,
-                                     ChainCache, {Wrapped});
+        Spectral ? Spectral->submitStep(Grid, Dt, FieldX, Ctx, FieldTileCount,
+                                        FieldLaunchStats, JReady, ChainCache)
+                 : Solver.submitStep(Grid, Dt, *FieldPartition, FieldX, Ctx,
+                                     FieldLaunchStats, JReady, ChainCache,
+                                     {Wrapped});
     FieldsDone.wait();
-    JReady.wait();
-
-    if (!Graph->instantiate())
-      Graph.reset(); // empty capture (defensive); next step recaptures
-    GraphN = N;
-    GraphEpoch = PartitionEpoch;
-    ++GraphCaptures;
-    const double Ns = double(Wall.elapsedNanoseconds());
-    GraphTiming.HostNs += Ns;
-    GraphTiming.ModeledNs += Ns;
-
-    finishStep();
+    JReady.wait(); // retire the deposit launches' stats publication too
+    if (TimeStages)
+      addWall(FieldTiming, Watch);
   }
 
-  /// Graph-mode steady state: rebinds the step index and simulation time
-  /// in the ParamBlock and re-issues the captured DAG — no specs built,
-  /// no kernel bodies constructed, no counted launches. sortByCell
-  /// between replays is safe: it permutes particle storage in place, so
-  /// every captured pointer stays valid.
-  void replayStep() {
+  /// Graph-mode first step (and every recapture): issueStep() through
+  /// graph-capturing wrappers, so every launch is recorded into a fresh
+  /// StepGraph while executing normally. A fresh graph owns nothing:
+  /// kernel bodies live in the member caches (cleared, then rebuilt by
+  /// this capture so replays keep pointing at stable storage) and stats
+  /// in member RunStats. The graph is keyed on the ensemble size and the
+  /// partition epoch; any change to either discards it and recaptures.
+  void captureStep() {
+    Graph = std::make_unique<exec::StepGraph>(&StepParams);
+    exec::GraphCapture PushCap(*Backend, *Graph);
+    exec::GraphCapture DepositCap(*DepositExec, *Graph);
+    exec::GraphCapture FieldCap(*FieldExec, *Graph);
+    StageCache.clear();
+    ChainCache.clear();
+    issueStep(PushCap, DepositCap, FieldCap, /*TimeStages=*/false);
+    if (!Graph->instantiate())
+      Graph.reset(); // empty capture (defensive); next step recaptures
+    GraphN = Particles.size();
+    GraphEpoch = PartitionEpoch;
+    ++GraphCaptures;
+  }
+
+  /// Publishes the step index and simulation time to the kernel bodies
+  /// (they read them through the ParamBlock, also under replay).
+  void bindStepParams() {
     StepParams.StepIndex = Steps;
     StepParams.Scalars[0] = double(CurrentTime);
+  }
+
+  exec::ExecutionContext context() const {
     exec::ExecutionContext Ctx;
     Ctx.Queue = Queue.get();
-    Stopwatch Wall;
-    Graph->replay(Ctx);
-    const double Ns = double(Wall.elapsedNanoseconds());
-    GraphTiming.HostNs += Ns;
-    GraphTiming.ModeledNs += Ns;
-    ++GraphReplays;
-    finishStep();
+    return Ctx;
+  }
+
+  /// Adds \p Watch's elapsed wall time to \p Stats.
+  static void addWall(RunStats &Stats, const Stopwatch &Watch) {
+    const double Ns = double(Watch.elapsedNanoseconds());
+    Stats.HostNs += Ns;
+    Stats.ModeledNs += Ns;
   }
 
   /// The host epilogue every step mode shares (classic, capture,
@@ -682,11 +540,7 @@ private:
     Indexer = CellIndexer<Real>(Grid);
     if (Rebal)
       Rebal->refreshOrigin(Grid.origin());
-    ++PartitionEpoch;
-    for (exec::ExecutionBackend *E :
-         {Backend.get(), DepositExec.get(), FieldExec.get()})
-      if (auto *Sharded = dynamic_cast<exec::ShardResources *>(E))
-        Sharded->resetShardStats();
+    newPartitionEpoch();
   }
 
   /// Injects fresh plasma into the \p Planes leading-edge planes the
@@ -772,9 +626,15 @@ private:
     PushFractions.clear();
     if (Backend->shardCount() > 0)
       PushFractions = Rebal->particleFractions(Index(Backend->shardCount()));
+    newPartitionEpoch();
+  }
+
+  /// Bumps the partition epoch, so a captured step graph recaptures
+  /// exactly once, and starts a fresh shardStats() window on every
+  /// sharded stage backend, so the imbalance reported afterwards
+  /// reflects the new split or plasma, not the history.
+  void newPartitionEpoch() {
     ++PartitionEpoch;
-    // Start a fresh shardStats() window so post-repartition imbalance
-    // reflects the new split, not the skewed history.
     for (exec::ExecutionBackend *E :
          {Backend.get(), DepositExec.get(), FieldExec.get()})
       if (auto *Sharded = dynamic_cast<exec::ShardResources *>(E))
@@ -905,7 +765,7 @@ public:
   const RunStats &fieldStats() const { return FieldTiming; }
 
   /// Per-launch ledgers of the stage-1 precalc/push kernels (the
-  /// pipelined and sharded shapes; all zeros when stage 1 runs fused).
+  /// sharded shape; all zeros when stage 1 runs fused).
   const RunStats &precalcKernelStats() const { return PrecalcKernelTiming; }
   const RunStats &pushKernelStats() const { return PushKernelTiming; }
 
@@ -934,8 +794,9 @@ public:
   const exec::StepGraph *stepGraph() const { return Graph.get(); }
 
   /// Submit-overhead totals across every per-launch ledger the step
-  /// touches (stage-1 push/precalc/push-kernel stats plus the deposit
-  /// and field chains): launches submitted, specs constructed, and wall
+  /// touches (stage-1 push/precalc/push-kernel stats, which also carry
+  /// the wrap, plus the deposit chain with the J clear and the field
+  /// chain): launches submitted, specs constructed, and wall
   /// nanoseconds inside submit() outside kernel bodies. Timing fields
   /// are left zero — this is the launch-bookkeeping view, not a wall
   /// clock.
@@ -949,14 +810,6 @@ public:
       Total.SubmitNs += S->SubmitNs;
     }
     return Total;
-  }
-
-  /// True if stage 1 runs as the double-buffered precalc/push pipeline
-  /// (the push backend is asynchronous and not sharded — the sharded
-  /// backend runs stage 1 as per-shard affinity-routed launches
-  /// instead).
-  bool usesAsyncPipeline() const {
-    return Backend->isAsynchronous() && !PushSharded();
   }
 
   /// Per-shard occupancy counters aggregated over *every* stage backend
@@ -1026,29 +879,14 @@ public:
     return Accumulator->tileBoundaries();
   }
 
-  /// Accumulated pipeline timing (all zeros unless usesAsyncPipeline()).
-  const PicPipelineStats &pipelineStats() const { return PipelineTiming; }
-
-  /// Chunks the pipeline actually executes per step. Ceil-division
-  /// chunk sizing can cover N with fewer chunks than requested (e.g.
-  /// 10 particles in 7 requested chunks -> 5 chunks of 2), so this
-  /// reports the executed count, matching the submissions made.
-  int pipelineChunkCount() const {
-    const Index N = Particles.view().size();
-    if (N <= 0)
-      return 0;
-    const Index ChunkSize = pipelineChunkSize(N);
-    return int((N + ChunkSize - 1) / ChunkSize);
-  }
-
 private:
   using ViewT = decltype(std::declval<Array &>().view());
 
-  /// The precalc half of the pipelined stage 1: samples the grid fields
-  /// at every particle of one chunk into a double buffer, stashing the
-  /// unwrapped old position — exactly the reads the fused kernel does,
-  /// in the same per-particle order.
-  struct PipelinePrecalcBody {
+  /// The precalc half of the sharded stage 1: samples the grid fields at
+  /// every particle of one shard's slice into the shard's arena,
+  /// stashing the unwrapped old position — exactly the reads the fused
+  /// kernel does, in the same per-particle order.
+  struct PrecalcBody {
     ViewT View;
     YeeInterpolator<Real> Interp;
     Vector3<Real> *OldPos;
@@ -1067,10 +905,10 @@ private:
     }
   };
 
-  /// The push half: consumes the chunk's sample buffer. The value
-  /// round-trip through the buffer is bitwise exact, so the Boris update
-  /// equals the fused kernel's.
-  struct PipelinePushBody {
+  /// The push half: consumes the slice's samples. The value round-trip
+  /// through the arena is bitwise exact, so the Boris update equals the
+  /// fused kernel's.
+  struct SampledPushBody {
     ViewT View;
     const FieldSample<Real> *Samples;
     const ParticleTypeInfo<Real> *Types;
@@ -1085,7 +923,7 @@ private:
     }
   };
 
-  /// The fused interpolate+push kernel of the synchronous stage 1 — a
+  /// The fused interpolate+push kernel of the unsharded stage 1 — a
   /// named body (not a step()-local lambda) so it can live in the
   /// reusable kernel cache across steps and a captured graph can keep
   /// pointing at it; the per-step simulation time flows in through the
@@ -1110,10 +948,9 @@ private:
     }
   };
 
-  /// Stage 2 (position wrap) as a submittable kernel, for graph capture:
-  /// writes each particle's unwrapped endpoint and wraps it into the
-  /// box. Per-particle independent, so any partition is bit-identical
-  /// to the classic host loop.
+  /// The position wrap: writes each particle's unwrapped endpoint and
+  /// wraps it into the box. Per-particle independent, so any partition
+  /// is bit-identical.
   struct WrapBody {
     ViewT View;
     Vector3<Real> *NewPos;
@@ -1129,119 +966,39 @@ private:
     }
   };
 
-  /// Grid.clearCurrent() as a submittable kernel (one item), for graph
-  /// capture: under replay the J clear must be a node ordered before the
-  /// deposit reduction, not a host call.
+  /// Grid.clearCurrent() as a one-item kernel: the J clear is a node
+  /// ordered before the deposit chain, not a host call, so replay needs
+  /// no host ordering.
   struct ClearCurrentBody {
     YeeGrid<Real> *Grid;
 
     void operator()(Index, Index, int, int) const { Grid->clearCurrent(); }
   };
 
-  /// Stage 1 as one fused interpolate+push launch through \p Exec (the
-  /// real push backend, or its graph-capturing wrapper). \returns the
-  /// launch's event; the body lives in the reusable stage cache.
-  exec::ExecEvent fusedInterpPush(exec::ExecutionBackend &Exec,
-                                  const ViewT &View,
-                                  const YeeInterpolator<Real> &Interp,
-                                  Vector3<Real> *OldPos,
-                                  const ParticleTypeInfo<Real> *TypesPtr,
-                                  Real Dt, Real C, Index N,
-                                  const exec::ExecutionContext &Ctx) {
-    const FusedPushBody &Body = StageCache.emplace(
-        FusedPushBody{View, Interp, OldPos, TypesPtr, Dt, C, &StepParams});
+  /// Submits \p Body over \p Items items of this step through \p Exec
+  /// (a stage backend or its graph-capturing wrapper), after
+  /// \p DependsOn, on shard lane \p ShardAffinity (-1 = any). The body
+  /// lives in the reusable stage cache. \returns the launch's event.
+  template <typename BodyT>
+  exec::ExecEvent submitStageKernel(exec::ExecutionBackend &Exec, BodyT Body,
+                                    Index Items,
+                                    std::vector<exec::ExecEvent> DependsOn,
+                                    RunStats &Stats,
+                                    const exec::ExecutionContext &Ctx,
+                                    int ShardAffinity = -1) {
+    const BodyT &Stored = StageCache.emplace(std::move(Body));
     exec::LaunchSpec Spec;
-    Spec.Items = N;
+    Spec.Items = Items;
     Spec.StepBegin = Steps;
     Spec.StepEnd = Steps + 1;
-    PushTiming.SpecsBuilt += 1;
+    Spec.ShardAffinity = ShardAffinity;
+    Spec.DependsOn = std::move(DependsOn);
+    Stats.SpecsBuilt += 1;
     return Exec.submit(
-        Spec, exec::StepKernel(Body, exec::kernelIdentity<FusedPushBody>()),
-        Ctx, PushTiming);
+        Spec, exec::StepKernel(Stored, exec::kernelIdentity<BodyT>()), Ctx,
+        Stats);
   }
 
-  /// Stage 1 as a double-buffered pipeline of non-blocking submissions:
-  /// precalc(k) fills buffer k%2 (waiting push(k-2), which frees it),
-  /// push(k) depends on precalc(k); on two lanes precalc(k+1) therefore
-  /// overlaps push(k). Every dependency points at an earlier submission,
-  /// so the pipeline cannot deadlock; the trailing waits also retire the
-  /// per-stage stats before anyone reads them.
-  /// \returns the push launches' events (already waited — they gate the
-  /// downstream wrap node when a graph capture records this stage).
-  std::vector<exec::ExecEvent>
-  pipelinedInterpPush(exec::ExecutionBackend &Exec, const ViewT &View,
-                      const YeeInterpolator<Real> &Interp,
-                      Vector3<Real> *OldPos,
-                      const ParticleTypeInfo<Real> *TypesPtr, Real Dt,
-                      Real C, Index N,
-                      const exec::ExecutionContext &Ctx) {
-    const Index ChunkSize = pipelineChunkSize(N);
-    const int Chunks = int((N + ChunkSize - 1) / ChunkSize);
-    PipelineSamples[0].resize(std::size_t(ChunkSize));
-    PipelineSamples[1].resize(std::size_t(ChunkSize));
-
-    // Kernel bodies live in member vectors (cleared, not reallocated,
-    // so the steady state allocates nothing and the addresses stay
-    // stable for a captured graph) until every event below is waited —
-    // the asynchronous lifetime contract.
-    PrecalcBodies.clear();
-    PushBodies.clear();
-    std::vector<exec::ExecEvent> PrecalcEvents, PushEvents;
-    PrecalcBodies.reserve(std::size_t(Chunks));
-    PushBodies.reserve(std::size_t(Chunks));
-    PrecalcEvents.reserve(std::size_t(Chunks));
-    PushEvents.reserve(std::size_t(Chunks));
-
-    Stopwatch Wall;
-    for (int K = 0; K < Chunks; ++K) {
-      const Index Begin = Index(K) * ChunkSize;
-      const Index End = std::min(Begin + ChunkSize, N);
-      if (Begin >= End)
-        break;
-      FieldSample<Real> *Buf = PipelineSamples[K % 2].data();
-
-      PrecalcBodies.push_back(PipelinePrecalcBody{View, Interp, OldPos, Buf,
-                                                  Begin, &StepParams});
-      exec::LaunchSpec PrecalcSpec;
-      PrecalcSpec.Items = End - Begin;
-      PrecalcSpec.StepBegin = Steps;
-      PrecalcSpec.StepEnd = Steps + 1;
-      if (K >= 2) // buffer K%2 is free once push(K-2) has consumed it
-        PrecalcSpec.DependsOn.push_back(PushEvents[std::size_t(K - 2)]);
-      PrecalcKernelTiming.SpecsBuilt += 1;
-      PrecalcEvents.push_back(Exec.submit(
-          PrecalcSpec,
-          exec::StepKernel(PrecalcBodies.back(),
-                           exec::kernelIdentity<PipelinePrecalcBody>()),
-          Ctx, PrecalcKernelTiming));
-
-      PushBodies.push_back(
-          PipelinePushBody{View, Buf, TypesPtr, Begin, Dt, C});
-      exec::LaunchSpec PushSpec;
-      PushSpec.Items = End - Begin;
-      PushSpec.StepBegin = Steps;
-      PushSpec.StepEnd = Steps + 1;
-      PushSpec.DependsOn.push_back(PrecalcEvents.back());
-      PushKernelTiming.SpecsBuilt += 1;
-      PushEvents.push_back(Exec.submit(
-          PushSpec,
-          exec::StepKernel(PushBodies.back(),
-                           exec::kernelIdentity<PipelinePushBody>()),
-          Ctx, PushKernelTiming));
-    }
-    for (const exec::ExecEvent &Ev : PrecalcEvents)
-      Ev.wait();
-    for (const exec::ExecEvent &Ev : PushEvents)
-      Ev.wait();
-
-    const double WallNs = double(Wall.elapsedNanoseconds());
-    PushTiming.HostNs += WallNs; // stage-1 stats stay wall-clock true
-    PushTiming.ModeledNs += WallNs;
-    PipelineTiming.WallNs += WallNs;
-    PipelineTiming.PrecalcNs = PrecalcKernelTiming.HostNs;
-    PipelineTiming.PushNs = PushKernelTiming.HostNs;
-    return PushEvents;
-  }
   /// The push backend's shard-resource surface, or nullptr when the
   /// backend is not sharded. (shardCount() is the cheap capability
   /// query; the interface is needed for the per-shard arenas — the
@@ -1264,28 +1021,21 @@ private:
   /// particle replays the fused kernel's exact operation sequence, so
   /// the result is bit-identical to the serial stage for every shard
   /// count (tests/pic/ShardEquivalenceTest.cpp).
-  /// \returns the push launches' events (already waited — they gate the
-  /// downstream wrap node when a graph capture records this stage).
+  /// \returns the push launches' events (already waited, so the stage-1
+  /// wall is exact; they gate the wrap node).
   /// Arenas always come from the concrete sharded backend; submissions
   /// go through \p Exec so a graph-capturing wrapper can record them.
   std::vector<exec::ExecEvent>
   shardedInterpPush(exec::ExecutionBackend &Exec, const ViewT &View,
-                    const YeeInterpolator<Real> &Interp,
                     Vector3<Real> *OldPos,
-                    const ParticleTypeInfo<Real> *TypesPtr, Real Dt, Real C,
-                    Index N, const exec::ExecutionContext &Ctx) {
+                    const ParticleTypeInfo<Real> *TypesPtr, Real Dt, Index N,
+                    const exec::ExecutionContext &Ctx) {
     exec::ShardResources *Sharded = PushSharded();
     const Index Blocks =
         exec::clampSlabCount(N, Index(Backend->shardCount()));
-
-    // Kernel bodies live in member vectors (cleared, not reallocated —
-    // stable addresses for the captured graph, nothing allocated in
-    // steady state) until every event below is waited.
-    PrecalcBodies.clear();
-    PushBodies.clear();
+    const YeeInterpolator<Real> Interp(Grid);
+    const Real C = Options.LightVelocity;
     std::vector<exec::ExecEvent> PushEvents;
-    PrecalcBodies.reserve(std::size_t(Blocks));
-    PushBodies.reserve(std::size_t(Blocks));
     PushEvents.reserve(std::size_t(Blocks));
 
     // After a fired rebalance the even split gives way to the
@@ -1312,58 +1062,17 @@ private:
         continue; // a weighted block may own no particles
       auto *Buf = static_cast<FieldSample<Real> *>(Sharded->shardArena(
           int(S), sizeof(FieldSample<Real>) * std::size_t(R.size())));
-
-      PrecalcBodies.push_back(PipelinePrecalcBody{View, Interp, OldPos, Buf,
-                                                  R.Begin, &StepParams});
-      exec::LaunchSpec PrecalcSpec;
-      PrecalcSpec.Items = R.size();
-      PrecalcSpec.StepBegin = Steps;
-      PrecalcSpec.StepEnd = Steps + 1;
-      PrecalcSpec.ShardAffinity = int(S);
-      PrecalcKernelTiming.SpecsBuilt += 1;
-      const exec::ExecEvent Sampled = Exec.submit(
-          PrecalcSpec,
-          exec::StepKernel(PrecalcBodies.back(),
-                           exec::kernelIdentity<PipelinePrecalcBody>()),
-          Ctx, PrecalcKernelTiming);
-
-      PushBodies.push_back(
-          PipelinePushBody{View, Buf, TypesPtr, R.Begin, Dt, C});
-      exec::LaunchSpec PushSpec;
-      PushSpec.Items = R.size();
-      PushSpec.StepBegin = Steps;
-      PushSpec.StepEnd = Steps + 1;
-      PushSpec.ShardAffinity = int(S);
-      PushSpec.DependsOn.push_back(Sampled);
-      PushKernelTiming.SpecsBuilt += 1;
-      PushEvents.push_back(Exec.submit(
-          PushSpec,
-          exec::StepKernel(PushBodies.back(),
-                           exec::kernelIdentity<PipelinePushBody>()),
-          Ctx, PushKernelTiming));
+      const exec::ExecEvent Sampled = submitStageKernel(
+          Exec, PrecalcBody{View, Interp, OldPos, Buf, R.Begin, &StepParams},
+          R.size(), {}, PrecalcKernelTiming, Ctx, int(S));
+      PushEvents.push_back(submitStageKernel(
+          Exec, SampledPushBody{View, Buf, TypesPtr, R.Begin, Dt, C},
+          R.size(), {Sampled}, PushKernelTiming, Ctx, int(S)));
     }
     for (const exec::ExecEvent &Ev : PushEvents)
       Ev.wait();
-
-    const double WallNs = double(Wall.elapsedNanoseconds());
-    PushTiming.HostNs += WallNs; // stage-1 stats stay wall-clock true
-    PushTiming.ModeledNs += WallNs;
+    addWall(PushTiming, Wall); // stage-1 stats stay wall-clock true
     return PushEvents;
-  }
-
-  /// The pipeline chunk size for an ensemble of \p N: ceil(N / R) where
-  /// R is the requested chunk count — the explicit option, or two
-  /// chunks per lane (enough to keep every lane busy while the double
-  /// buffer recycles), clamped to the ensemble size. The executed chunk
-  /// count is ceil(N / chunk size), which can be less than R.
-  Index pipelineChunkSize(Index N) const {
-    int Requested = Options.PushPipelineChunks > 0
-                        ? Options.PushPipelineChunks
-                        : 2 * std::max(1, Backend->concurrency());
-    if (Index(Requested) > N && N > 0)
-      Requested = int(N);
-    Requested = std::max(1, Requested);
-    return (N + Requested - 1) / Requested;
   }
 
   /// The nine field lattices in checkpoint order (Ex..Bz, Jx..Jz) —
@@ -1413,24 +1122,19 @@ private:
   std::unique_ptr<minisycl::queue> Queue;
   std::vector<Vector3<Real>> OldPositions;
   std::vector<Vector3<Real>> NewPositions;
-  std::vector<FieldSample<Real>> PipelineSamples[2]; ///< the double buffer
   RunStats PushTiming;
   RunStats DepositTiming;
   RunStats FieldTiming;
-  RunStats PrecalcKernelTiming; ///< pipeline precalc kernels only
-  RunStats PushKernelTiming;    ///< pipeline push kernels only
+  RunStats PrecalcKernelTiming; ///< sharded precalc kernels only
+  RunStats PushKernelTiming;    ///< sharded push kernels only
   RunStats DepositLaunchStats;  ///< deposit-chain launch ledger
   RunStats FieldLaunchStats;    ///< field-chain launch ledger
   RunStats GraphTiming;         ///< graph-mode step wall (capture+replay)
-  PicPipelineStats PipelineTiming;
   exec::ParamBlock StepParams; ///< per-step rebinding surface
   Stopwatch AsyncStepWatch;    ///< submitStepAsync -> finishStepAsync wall
-  exec::KernelCache StageCache; ///< stage-level bodies (push/wrap/clear)
+  exec::KernelCache StageCache; ///< clear, stage-1 and wrap bodies
   exec::KernelCache ChainCache; ///< deposit + field chain bodies
-  std::vector<PipelinePrecalcBody> PrecalcBodies; ///< stage-1 bodies
-  std::vector<PipelinePushBody> PushBodies;       ///< (stable addresses)
   std::unique_ptr<exec::StepGraph> Graph;
-  std::unique_ptr<exec::GraphCapture> PushCap, DepositCap, FieldCap;
   Index GraphN = Index(-1); ///< ensemble size the graph was captured at
   long long GraphCaptures = 0;
   long long GraphReplays = 0;

@@ -14,10 +14,11 @@
 /// yields nearly contiguous per-tile particle lists), and one PIC-step
 /// deposition becomes three phases:
 ///
-///   1. bin (host, O(N)): each particle's scheme footprint (stencil plus
-///      the CIC/Esirkepov staggering halo, see the footprint helpers in
-///      CurrentDeposition.h) decides which tiles it can write; its index
-///      is appended to those tiles' lists, so every list is ascending;
+///   1. bin (one single-item launch, O(N)): each particle's scheme
+///      footprint (stencil plus the CIC/Esirkepov staggering halo, see
+///      the footprint helpers in CurrentDeposition.h) decides which
+///      tiles it can write; its index is appended to those tiles' lists,
+///      so every list is ascending;
 ///   2. accumulate (one backend launch, items = tiles, GrainHint = 1):
 ///      each tile replays its list in order into a private slab lattice,
 ///      discarding writes that fall outside its owned planes;
@@ -215,19 +216,18 @@ public:
         .wait();
   }
 
-  /// The event-chained form of deposit(): bins (on the host, or as a
-  /// backend launch when \p BinOnBackend — the form a step-graph capture
-  /// needs so the rebinning replays every step), then submits the
-  /// accumulate and reduce phases as non-blocking launches (reduce
-  /// depends on accumulate) and \returns the reduction's event — the
-  /// handle the backend-parallel field solve chains its E advance on
-  /// (only that launch reads J, so the first FDTD half-step may overlap
-  /// the reduction). \p After gates the first phase that reads particle
-  /// endpoints or writes the grid (a graph capture passes the wrap and
-  /// clear-current events; host-ordered callers leave it empty). Kernel
-  /// bodies are parked in \p Keep (a per-step KernelKeepAlive or a
-  /// reusable KernelCache); wait the returned event (and only then read
-  /// \p Stats or drop \p Keep) before touching the J lattices. On
+  /// The event-chained form of deposit(): submits the bin, accumulate
+  /// and reduce phases as non-blocking launches, each depending on the
+  /// one before, and \returns the reduction's event — the handle the
+  /// backend-parallel field solve chains its E advance on (only that
+  /// launch reads J, so the first FDTD half-step may overlap the
+  /// reduction). \p After gates the first phase, which reads particle
+  /// endpoints and (with one tile) writes the grid: the PIC step passes
+  /// its wrap and clear-current events. Binning is a launch so a
+  /// captured step graph rebins the moved particles on every replay.
+  /// Kernel bodies are parked in \p Keep (a per-step KernelKeepAlive or
+  /// a reusable KernelCache); wait the returned event (and only then
+  /// read \p Stats or drop \p Keep) before touching the J lattices. On
   /// synchronous backends everything executes inline and the returned
   /// event is already complete.
   template <typename ParticleView, typename KeepT>
@@ -237,8 +237,7 @@ public:
                 const ParticleTypeInfo<Real> *Types, Real Dt,
                 bool ChargeConserving, exec::ExecutionBackend &Backend,
                 const exec::ExecutionContext &Ctx, RunStats &Stats,
-                KeepT &Keep, const std::vector<exec::ExecEvent> &After = {},
-                bool BinOnBackend = false) {
+                KeepT &Keep, const std::vector<exec::ExecEvent> &After = {}) {
     const Index N = View.size();
     // Re-read the (possibly window-shifted) origin: binning and the
     // scatter kernels work in logical coordinates relative to the live
@@ -262,23 +261,15 @@ public:
                              Keep);
     }
 
-    // Phase 1 — binning. A host-ordered caller has already waited the
-    // push stage, so the bins are built inline; a graph capture submits
-    // the binning as its own node (one item, gated on \p After) so every
-    // replay rebins the moved particles before the accumulate launches
-    // read the tile lists.
-    std::vector<exec::ExecEvent> AccDeps;
-    if (BinOnBackend) {
-      TiledCurrentAccumulator *Self = this;
-      auto BinBlock = [=](Index, Index, int, int) {
-        Self->binParticles(OldPos, NewPos, ChargeConserving, N);
-      };
-      AccDeps.push_back(submitOverTiles(Backend, Ctx, Stats, 1,
-                                        std::move(BinBlock), After, Keep));
-    } else {
-      binParticles(OldPos, NewPos, ChargeConserving, N);
-      AccDeps = After;
-    }
+    // Phase 1 — binning, one item (the bins are built in particle
+    // order), gated on \p After.
+    TiledCurrentAccumulator *Self = this;
+    auto BinBlock = [=](Index, Index, int, int) {
+      Self->binParticles(OldPos, NewPos, ChargeConserving, N);
+    };
+    const std::vector<exec::ExecEvent> AccDeps = {
+        submitOverTiles(Backend, Ctx, Stats, 1, std::move(BinBlock), After,
+                        Keep)};
 
     // Phase 2 — per-tile private accumulation. Tiles own disjoint plane
     // ranges, so any backend may run them in any order concurrently.

@@ -138,7 +138,6 @@ public:
 
   const char *name() const override { return "pool"; }
   bool isAsynchronous() const override { return true; }
-  int concurrency() const override { return Lease.Lanes; }
   int shardCount() const override { return Lease.Lanes; }
 
   /// Arena of slice lane \p Shard — the pool lane's persistent arena,

@@ -52,7 +52,7 @@ void ThreadPool::run(int Width, const std::function<void(int)> &Body) {
   // worker inline. Serial, but correct — each worker index is visited
   // exactly once, which is all static partitioning and chunk stealing
   // need. Note the flag is thread-local: a *different* thread (the
-  // minisycl device thread, an async-pipeline lane) takes the
+  // minisycl device thread, a sharded backend's lane) takes the
   // serialize-and-wait path below instead, so a region body must never
   // block on work that needs another thread's run() to finish —
   // that is a deadlock, not a supported pattern.
@@ -69,7 +69,7 @@ void ThreadPool::run(int Width, const std::function<void(int)> &Body) {
 
   {
     std::unique_lock<std::mutex> Lock(Mutex);
-    // Concurrent callers (the minisycl device thread, async-pipeline
+    // Concurrent callers (the minisycl device thread, sharded-backend
     // lanes, the main thread) serialize: wait for the active region to
     // retire before opening the next one.
     DoneCv.wait(Lock, [this] { return !InRegion; });

@@ -9,7 +9,7 @@
 /// (safe double-wait, pending/signal, deferred finalizers), dependency
 /// chaining through LaunchSpec::DependsOn (linear chains, diamond
 /// graphs, cross-backend edges), submit + late wait on the asynchronous
-/// pipeline backend, fused-vs-chained step-loop equivalence across every
+/// sharded backend, fused-vs-chained step-loop equivalence across every
 /// registered backend x layout, and the minisycl event completion-state
 /// fixes (wait on an already-completed event and double-wait are safe
 /// no-ops; non-blocking GPU submits order through depends_on).
@@ -17,8 +17,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Core.h"
-#include "exec/AsyncPipeline.h"
 #include "exec/BackendRegistry.h"
+#include "exec/ShardedBackend.h"
 #include "exec/StepLoop.h"
 #include "fields/DipoleWave.h"
 #include "minisycl/minisycl.h"
@@ -84,11 +84,11 @@ TEST(ExecEventTest, DeferredFinalizerRunsExactlyOnceAcrossManyWaiters) {
 }
 
 //===----------------------------------------------------------------------===//
-// Dependency chaining on the asynchronous pipeline backend
+// Dependency chaining on the asynchronous sharded backend
 //===----------------------------------------------------------------------===//
 
 TEST(ExecEventTest, ChainedDependenciesExecuteInOrder) {
-  AsyncPipelineBackend Backend({/*Threads=*/2, /*Grain=*/0});
+  ShardedBackend Backend({/*Threads=*/2, /*Grain=*/0});
   RunStats Stats;
   std::mutex OrderMutex;
   std::vector<int> Order;
@@ -127,7 +127,7 @@ TEST(ExecEventTest, ChainedDependenciesExecuteInOrder) {
 TEST(ExecEventTest, DiamondDependencyGraphExecutesInTopologicalOrder) {
   // A; B and C depend on A; D depends on B and C. With two lanes, B and
   // C may overlap — only the partial order is guaranteed.
-  AsyncPipelineBackend Backend({/*Threads=*/2, /*Grain=*/0});
+  ShardedBackend Backend({/*Threads=*/2, /*Grain=*/0});
   RunStats Stats;
   std::atomic<int> Clock{0};
   std::atomic<int> TimeA{-1}, TimeB{-1}, TimeC{-1}, TimeD{-1};
@@ -168,7 +168,7 @@ TEST(ExecEventTest, DiamondDependencyGraphExecutesInTopologicalOrder) {
 }
 
 TEST(ExecEventTest, SubmitReturnsBeforeExecutionAndLateWaitSynchronizes) {
-  AsyncPipelineBackend Backend({/*Threads=*/1, /*Grain=*/0});
+  ShardedBackend Backend({/*Threads=*/1, /*Grain=*/0});
   RunStats Stats;
   std::atomic<bool> Ran{false};
   auto Slow = [&](Index, Index, int, int) {
@@ -191,7 +191,7 @@ TEST(ExecEventTest, SubmitReturnsBeforeExecutionAndLateWaitSynchronizes) {
 }
 
 TEST(ExecEventTest, BlockingLaunchFacadeIsSynchronousOnAsyncBackends) {
-  AsyncPipelineBackend Backend({/*Threads=*/2, /*Grain=*/0});
+  ShardedBackend Backend({/*Threads=*/2, /*Grain=*/0});
   RunStats Stats;
   std::atomic<bool> Ran{false};
   auto Body = [&](Index, Index, int, int) { Ran = true; };
@@ -203,7 +203,7 @@ TEST(ExecEventTest, BlockingLaunchFacadeIsSynchronousOnAsyncBackends) {
 TEST(ExecEventTest, SynchronousBackendsWaitTheirDependencies) {
   // A dependency produced by the async backend must be honoured by a
   // synchronous backend's submit (cross-backend edge).
-  AsyncPipelineBackend Async({/*Threads=*/1, /*Grain=*/0});
+  ShardedBackend Async({/*Threads=*/1, /*Grain=*/0});
   auto Serial = createBackend("serial");
   ASSERT_NE(Serial, nullptr);
   RunStats Stats;
@@ -230,17 +230,11 @@ TEST(ExecEventTest, SynchronousBackendsWaitTheirDependencies) {
   EXPECT_EQ(Seen, 42);
 }
 
-TEST(ExecEventTest, AsyncPipelineAdvertisesItsShape) {
-  auto Backend = createBackend("async-pipeline", {/*Threads=*/3});
-  ASSERT_NE(Backend, nullptr);
-  EXPECT_TRUE(Backend->isAsynchronous());
-  EXPECT_EQ(Backend->concurrency(), 3);
-  EXPECT_FALSE(Backend->needsQueue());
+TEST(ExecEventTest, SynchronousBackendsAdvertiseTheirShape) {
   for (const char *Sync : {"serial", "openmp", "dpcpp", "dpcpp-numa"}) {
     auto B = createBackend(Sync);
     ASSERT_NE(B, nullptr) << Sync;
     EXPECT_FALSE(B->isAsynchronous()) << Sync;
-    EXPECT_EQ(B->concurrency(), 1) << Sync;
   }
 }
 
@@ -320,7 +314,7 @@ TEST(ExecEventTest, AutoModeOnAsyncBackendMatchesSerial) {
   auto Reference = runStepLoopWith<ParticleArrayAoS<double>>(
       "serial", FusionMode::MegaKernel, 1);
   expectBitwiseEqual(Reference, runStepLoopWith<ParticleArrayAoS<double>>(
-                                    "async-pipeline", FusionMode::Auto, 1));
+                                    "sharded", FusionMode::Auto, 1));
 }
 
 //===----------------------------------------------------------------------===//

@@ -90,7 +90,6 @@ TEST(ShardedBackendTest, RegisteredWithShardCountFromThreads) {
   EXPECT_TRUE(Backend->isAsynchronous());
   EXPECT_FALSE(Backend->needsQueue());
   EXPECT_EQ(Backend->shardCount(), 5);
-  EXPECT_EQ(Backend->concurrency(), 5);
   // Non-sharded backends report no shards.
   EXPECT_EQ(createBackend("serial")->shardCount(), 0);
   EXPECT_EQ(createBackend("openmp")->shardCount(), 0);

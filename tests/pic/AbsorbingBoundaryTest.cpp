@@ -1,4 +1,4 @@
-//===-- tests/pic/BoundaryAndUnitsTest.cpp - Absorber + units ------------===//
+//===-- tests/pic/AbsorbingBoundaryTest.cpp - Absorbing layer ------------===//
 //
 // Part of the hichi-boris-dpcpp-repro project, under the MIT License.
 //
@@ -6,7 +6,6 @@
 
 #include "pic/AbsorbingBoundary.h"
 #include "pic/FdtdSolver.h"
-#include "support/Units.h"
 
 #include <gtest/gtest.h>
 
@@ -80,50 +79,6 @@ TEST(AbsorbingLayerTest, ParticleOpenBoundary) {
   EXPECT_TRUE(Sponge.inLayer(G, {8, 15.5, 8}));
   EXPECT_EQ(Sponge.removeAbsorbedParticles(P, G), 5);
   EXPECT_EQ(P.size(), 5);
-}
-
-//===----------------------------------------------------------------------===//
-// Units
-//===----------------------------------------------------------------------===//
-
-TEST(UnitsTest, ElectronRestEnergyIs511keV) {
-  EXPECT_NEAR(units::ergToEv(units::electronRestEnergy()) / 1e3, 511.0, 1.0);
-}
-
-TEST(UnitsTest, GammaToMev) {
-  EXPECT_NEAR(units::gammaToMev(1.0), 0.0, 1e-12);
-  EXPECT_NEAR(units::gammaToMev(3.0), 2 * 0.511, 0.01);
-}
-
-TEST(UnitsTest, CriticalDensityAtMicron) {
-  // n_c ~ 1.1e21 cm^-3 / (lambda/um)^2; at 1 um: ~1.1e21.
-  EXPECT_NEAR(units::criticalDensity(1e-4) / 1e21, 1.1, 0.1);
-}
-
-TEST(UnitsTest, PlasmaFrequencyInvertsCriticalDensity) {
-  double Lambda = 0.9e-4; // the paper's wavelength
-  double Nc = units::criticalDensity(Lambda);
-  double Omega = units::plasmaFrequency(Nc);
-  EXPECT_NEAR(Omega / (2 * constants::Pi * constants::LightVelocity / Lambda),
-              1.0, 1e-9);
-}
-
-TEST(UnitsTest, A0EngineeringFormula) {
-  // a0 ~ 0.85 at 1e18 W/cm^2, lambda = 1 um (linear polarization).
-  EXPECT_NEAR(units::intensityToA0(1e18, 1e-4), 0.85, 0.03);
-  // Scales as sqrt(I).
-  EXPECT_NEAR(units::intensityToA0(4e18, 1e-4) /
-                  units::intensityToA0(1e18, 1e-4),
-              2.0, 1e-9);
-}
-
-TEST(UnitsTest, PaperBenchmarkIsRelativistic) {
-  // P = 0.1 PW focused to ~lambda: intensity ~1e21 W/cm^2 -> a0 >> 1,
-  // consistent with the paper placing the benchmark in the relativistic
-  // window (gamma up to ~140 in the escape example).
-  double Lambda = 0.9e-4;
-  double Intensity = units::powerToIntensity(1e14, Lambda);
-  EXPECT_GT(units::intensityToA0(Intensity, Lambda), 10.0);
 }
 
 } // namespace

@@ -125,14 +125,6 @@ TEST(GraphEquivalenceTest, DpcppNumaSoA) {
   checkGraphMatchesResubmit<ParticleArraySoA<double>>("dpcpp-numa");
 }
 
-TEST(GraphEquivalenceTest, AsyncPipelineAoS) {
-  checkGraphMatchesResubmit<ParticleArrayAoS<double>>("async-pipeline");
-}
-
-TEST(GraphEquivalenceTest, AsyncPipelineSoA) {
-  checkGraphMatchesResubmit<ParticleArraySoA<double>>("async-pipeline");
-}
-
 TEST(GraphEquivalenceTest, ShardedAcrossShardCountsAoS) {
   for (int Shards : {1, 2, 5, 13})
     checkGraphMatchesResubmit<ParticleArrayAoS<double>>("sharded", Shards);

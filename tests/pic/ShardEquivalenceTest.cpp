@@ -129,7 +129,7 @@ TEST(ShardEquivalenceTest, StateHashInvariantForMixedStageBackends) {
     const std::uint64_t Reference =
         shardSimulationHash<ParticleArrayAoS<double>>(Solver, "serial",
                                                       "serial", "serial", 0);
-    for (const std::string Other : {"openmp", "dpcpp", "async-pipeline"}) {
+    for (const std::string Other : {"openmp", "dpcpp"}) {
       EXPECT_EQ(shardSimulationHash<ParticleArrayAoS<double>>(
                     Solver, "sharded", Other, Other, 5),
                 Reference)

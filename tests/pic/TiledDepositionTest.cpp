@@ -230,23 +230,20 @@ TEST(TiledDepositionTest, SimulationHashInvariantForDirectScheme) {
         << "backend=" << Name;
 }
 
-/// Like simulationHash, but configures the *push* stage: asynchronous
-/// push backends run stage 1 as the double-buffered precalc/push
-/// pipeline (PicSimulation.h), which must reproduce the fused serial
-/// stage bit-for-bit for every lane count x chunk count x deposit
-/// configuration.
+/// Like simulationHash, but configures the *push* stage: the sharded
+/// push backend runs stage 1 as per-shard precalc/push launch pairs
+/// (PicSimulation.h), which must reproduce the fused serial stage
+/// bit-for-bit for every shard count x deposit configuration.
 template <typename Array>
-std::uint64_t pipelineSimulationHash(const std::string &PushBackend,
-                                     int Lanes, int Chunks,
-                                     const std::string &DepositBackend,
-                                     int Tiles, int Steps) {
+std::uint64_t pushSimulationHash(const std::string &PushBackend, int Threads,
+                                 const std::string &DepositBackend, int Tiles,
+                                 int Steps) {
   const GridSize N{12, 4, 4};
   PicOptions<double> Options;
   Options.LightVelocity = 1.0;
   Options.SortEveryNSteps = 7;
   Options.PushBackend = PushBackend;
-  Options.PushThreads = Lanes;
-  Options.PushPipelineChunks = Chunks;
+  Options.PushThreads = Threads;
   Options.DepositBackend = DepositBackend;
   Options.DepositTiles = Tiles;
   const int PerCell = 2;
@@ -274,33 +271,32 @@ std::uint64_t pipelineSimulationHash(const std::string &PushBackend,
   return picStateHash(Sim.particles(), Sim.grid());
 }
 
-TEST(TiledDepositionTest, SimulationHashInvariantForAsyncPushPipeline) {
-  const std::uint64_t Reference = pipelineSimulationHash<
-      ParticleArrayAoS<double>>("serial", 0, 0, "serial", 1, 30);
-  for (int Lanes : {1, 2, 4})
-    for (int Chunks : {0, 1, 3, 8})
-      EXPECT_EQ(pipelineSimulationHash<ParticleArrayAoS<double>>(
-                    "async-pipeline", Lanes, Chunks, "serial", 1, 30),
-                Reference)
-          << "lanes=" << Lanes << " chunks=" << Chunks;
-  // Async push combined with parallel tiled deposition — the full
-  // pipelined loop against the all-serial reference.
-  EXPECT_EQ(pipelineSimulationHash<ParticleArrayAoS<double>>(
-                "async-pipeline", 2, 0, "openmp", 5, 30),
+TEST(TiledDepositionTest, SimulationHashInvariantForShardedPush) {
+  const std::uint64_t Reference = pushSimulationHash<
+      ParticleArrayAoS<double>>("serial", 0, "serial", 1, 30);
+  for (int Shards : {1, 2, 3, 4, 8})
+    EXPECT_EQ(pushSimulationHash<ParticleArrayAoS<double>>(
+                  "sharded", Shards, "serial", 1, 30),
+              Reference)
+        << "shards=" << Shards;
+  // Sharded push combined with parallel tiled deposition — the full
+  // asynchronous loop against the all-serial reference.
+  EXPECT_EQ(pushSimulationHash<ParticleArrayAoS<double>>("sharded", 2,
+                                                         "openmp", 5, 30),
             Reference);
-  EXPECT_EQ(pipelineSimulationHash<ParticleArrayAoS<double>>(
-                "async-pipeline", 2, 4, "async-pipeline", 3, 30),
+  EXPECT_EQ(pushSimulationHash<ParticleArrayAoS<double>>("sharded", 2,
+                                                         "sharded", 3, 30),
             Reference);
 }
 
-TEST(TiledDepositionTest, SimulationHashInvariantForAsyncPushPipelineSoA) {
-  const std::uint64_t Reference = pipelineSimulationHash<
-      ParticleArraySoA<double>>("serial", 0, 0, "serial", 1, 25);
-  for (int Chunks : {0, 5})
-    EXPECT_EQ(pipelineSimulationHash<ParticleArraySoA<double>>(
-                  "async-pipeline", 2, Chunks, "dpcpp", 4, 25),
+TEST(TiledDepositionTest, SimulationHashInvariantForShardedPushSoA) {
+  const std::uint64_t Reference = pushSimulationHash<
+      ParticleArraySoA<double>>("serial", 0, "serial", 1, 25);
+  for (int Shards : {2, 5})
+    EXPECT_EQ(pushSimulationHash<ParticleArraySoA<double>>(
+                  "sharded", Shards, "dpcpp", 4, 25),
               Reference)
-        << "chunks=" << Chunks;
+        << "shards=" << Shards;
 }
 
 //===----------------------------------------------------------------------===//
@@ -396,28 +392,27 @@ TEST(TiledDepositionTest, SimulationHashInvariantAcrossFieldBackendsSoA) {
 TEST(TiledDepositionTest, SimulationHashInvariantForAsyncFieldChain) {
   // The asynchronous field path: the solve's launches event-chain
   // against the deposit reduction (the first FDTD half-step may overlap
-  // it) — and the bits still cannot move, for any lane count x tile
+  // it) — and the bits still cannot move, for any shard count x tile
   // count x solver, including the fully asynchronous loop where all
-  // three stages run on async-pipeline backends.
+  // three stages run on sharded backends.
   for (FieldSolverKind Solver :
        {FieldSolverKind::Fdtd, FieldSolverKind::Spectral}) {
     const std::uint64_t Reference =
         fieldSimulationHash<ParticleArrayAoS<double>>(Solver, "serial", 1, 0,
                                                       100);
-    for (int Lanes : {1, 2})
+    for (int Shards : {1, 2})
       for (int Tiles : {1, 4, 7})
         EXPECT_EQ(fieldSimulationHash<ParticleArrayAoS<double>>(
-                      Solver, "async-pipeline", Tiles, Lanes, 100),
+                      Solver, "sharded", Tiles, Shards, 100),
                   Reference)
-            << "lanes=" << Lanes << " tiles=" << Tiles;
+            << "shards=" << Shards << " tiles=" << Tiles;
     // Async field + parallel tiled deposit on another backend.
     EXPECT_EQ(fieldSimulationHash<ParticleArrayAoS<double>>(
-                  Solver, "async-pipeline", 4, 2, 100, "serial", "openmp", 5),
+                  Solver, "sharded", 4, 2, 100, "serial", "openmp", 5),
               Reference);
     // The fully asynchronous five-stage loop vs the all-serial one.
     EXPECT_EQ(fieldSimulationHash<ParticleArrayAoS<double>>(
-                  Solver, "async-pipeline", 4, 2, 100, "async-pipeline",
-                  "async-pipeline", 3),
+                  Solver, "sharded", 4, 2, 100, "sharded", "sharded", 3),
               Reference);
   }
 }
