@@ -11,9 +11,11 @@
 /// and submit-overhead deltas of the measured window as stage "submit"
 /// records (submit = "graph" / "resubmit"). A classic step issues every
 /// node of the captured graph as a counted launch, so the two ledgers
-/// compare like with like. The bench fails unless, at the smallest grid
+/// compare like with like. The two modes run as interleaved iterations
+/// (at least 15 each). The bench fails unless, at the smallest grid
 /// (where per-submit overhead dominates), graph mode is strictly lower
-/// in both launches/step and submit-µs/step — and bit-identical. Set
+/// in launches/step and in the median per-iteration submit cost — and
+/// bit-identical. Set
 /// HICHI_BENCH_JSON=<path> to also write the hichi-bench-v1 records;
 /// HICHI_BENCH_BACKEND (and the per-stage variables) pick other stage
 /// backends.
@@ -25,7 +27,9 @@
 #include "pic/Diagnostics.h"
 #include "pic/PicSimulation.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 using namespace hichi;
@@ -87,64 +91,91 @@ struct SubmitResult {
   std::uint64_t Hash = 0;
 };
 
-/// Submit overhead of one grid size in one submission mode: every stage
-/// on the sharded backend (each launch is a counted non-blocking submit,
-/// so the ledger isolates issue cost), warmup — where graph mode
-/// captures — then the submitOverhead() ledger deltas of the measured
-/// window. Replay keeps accruing SubmitNs (per-node re-issue cost) but
-/// not Launches/SpecsBuilt, which stay at the capture step's counts.
-SubmitResult measureSubmit(const GridSize &N, int PerCell, bool UseGraph,
-                           const BenchSizes &Sizes) {
-  PicOptions<double> Options;
-  Options.LightVelocity = 1.0;
-  Options.SortEveryNSteps = 20;
-  // Env-resolved stage backends (default: every stage sharded); the
-  // sweep's own mode knob overrides the HICHI_BENCH_GRAPH default.
-  applyEnvPicBackends(Options, "sharded");
-  Options.PushThreads = 2;
-  Options.DepositThreads = 2;
-  Options.FieldThreads = 2;
-  Options.UseStepGraph = UseGraph;
-  const Index NumParticles = N.count() * PerCell;
-  PicSimulation<double> Sim(N, {0, 0, 0}, {0.5, 0.5, 0.5}, NumParticles,
-                            ParticleTypeTable<double>::natural(), Options);
-  seedLangmuir(Sim, N, PerCell);
-
-  SubmitResult Out;
-  Sim.run(Sizes.StepsPerIteration); // warmup; graph mode captures here
-  const RunStats Before = Sim.submitOverhead();
-  double Total = 0;
-  for (int It = 0; It < Sizes.Iterations; ++It) {
-    const double SubmitBefore = Sim.submitOverhead().SubmitNs;
-    Sim.run(Sizes.StepsPerIteration);
-    Out.Submit.IterationNs.push_back(Sim.submitOverhead().SubmitNs -
-                                     SubmitBefore);
-    Total += Out.Submit.IterationNs.back();
+/// One grid size in one submission mode: every stage on the sharded
+/// backend (each launch is a counted non-blocking submit, so the ledger
+/// isolates issue cost), warmed up on construction — where graph mode
+/// captures. Each iterate() records one iteration's submitOverhead()
+/// SubmitNs delta; replay keeps accruing SubmitNs (per-node re-issue
+/// cost) but not Launches/SpecsBuilt, which stay at the capture step's
+/// counts.
+class SubmitTrial {
+public:
+  SubmitTrial(const GridSize &N, int PerCell, bool UseGraph,
+              const BenchSizes &Sizes)
+      : NumParticles(N.count() * PerCell), Sizes(Sizes) {
+    PicOptions<double> Options;
+    Options.LightVelocity = 1.0;
+    Options.SortEveryNSteps = 20;
+    // Env-resolved stage backends (default: every stage sharded); the
+    // sweep's own mode knob overrides the HICHI_BENCH_GRAPH default.
+    applyEnvPicBackends(Options, "sharded");
+    Options.PushThreads = 2;
+    Options.DepositThreads = 2;
+    Options.FieldThreads = 2;
+    Options.UseStepGraph = UseGraph;
+    Sim = std::make_unique<PicSimulation<double>>(
+        N, Vector3<double>{0, 0, 0}, Vector3<double>{0.5, 0.5, 0.5},
+        NumParticles, ParticleTypeTable<double>::natural(), Options);
+    seedLangmuir(*Sim, N, PerCell);
+    Sim->run(Sizes.StepsPerIteration); // warmup; graph mode captures here
+    Before = Sim->submitOverhead();
   }
-  const RunStats After = Sim.submitOverhead();
-  const double Steps = double(Sizes.Iterations) *
-                       double(Sizes.StepsPerIteration);
-  Out.LaunchesPerStep = double(After.Launches - Before.Launches) / Steps;
-  Out.SpecsPerStep = double(After.SpecsBuilt - Before.SpecsBuilt) / Steps;
-  Out.SubmitUsPerStep = (After.SubmitNs - Before.SubmitNs) / Steps / 1e3;
-  Out.Submit.Nsps = nsPerParticlePerStep(Total, Sizes.Iterations,
-                                         double(NumParticles),
-                                         double(Sizes.StepsPerIteration));
-  Out.Hash = picStateHash(Sim.particles(), Sim.grid());
-  return Out;
-}
+
+  void iterate() {
+    const double SubmitBefore = Sim->submitOverhead().SubmitNs;
+    Sim->run(Sizes.StepsPerIteration);
+    Out.Submit.IterationNs.push_back(Sim->submitOverhead().SubmitNs -
+                                     SubmitBefore);
+  }
+
+  /// The measured window's ledger deltas, series and final state hash.
+  SubmitResult result() {
+    const RunStats After = Sim->submitOverhead();
+    const int Iterations = int(Out.Submit.IterationNs.size());
+    const double Steps = double(Iterations) * double(Sizes.StepsPerIteration);
+    double Total = 0;
+    for (double Ns : Out.Submit.IterationNs)
+      Total += Ns;
+    Out.LaunchesPerStep = double(After.Launches - Before.Launches) / Steps;
+    Out.SpecsPerStep = double(After.SpecsBuilt - Before.SpecsBuilt) / Steps;
+    Out.SubmitUsPerStep = (After.SubmitNs - Before.SubmitNs) / Steps / 1e3;
+    Out.Submit.Nsps = nsPerParticlePerStep(Total, Iterations,
+                                           double(NumParticles),
+                                           double(Sizes.StepsPerIteration));
+    Out.Hash = picStateHash(Sim->particles(), Sim->grid());
+    return Out;
+  }
+
+private:
+  Index NumParticles;
+  BenchSizes Sizes;
+  std::unique_ptr<PicSimulation<double>> Sim;
+  RunStats Before;
+  SubmitResult Out;
+};
+
+/// Interleaved iterations per mode and grid: at least this many however
+/// small HICHI_BENCH_ITERATIONS is, so the gate compares medians of real
+/// series rather than two short means.
+constexpr int MinGateIterations = 15;
 
 /// Runs the resubmit-vs-replay ladder and \returns true iff at the
-/// smallest grid graph mode beat resubmission in both launches/step and
-/// submit-µs/step with every hash pair matching.
-bool sweepSubmitOverhead(const BenchSizes &Sizes, JsonReport &Report) {
+/// smallest grid graph mode beat resubmission in launches/step and in the
+/// median per-iteration submit cost, with every hash pair matching. The
+/// two modes' iterations interleave (ABBA), so host speed drift lands on
+/// both series alike.
+bool sweepSubmitOverhead(BenchSizes Sizes, JsonReport &Report) {
+  Sizes.Iterations = std::max(Sizes.Iterations, MinGateIterations);
   const std::vector<GridSize> Grids = {{8, 4, 4}, {16, 8, 8}, {32, 8, 8}};
   const int PerCell = 2; // small ensembles — submit overhead dominates
   std::printf("step-graph replay vs per-step resubmission (all stages on "
-              "'sharded', 2 lanes, %d particles/cell):\n", PerCell);
-  std::printf("%-12s %10s %14s %12s %15s\n", "grid", "mode",
-              "launches/step", "specs/step", "submit us/step");
-  printRule(68);
+              "'sharded', 2 lanes, %d particles/cell, %d interleaved "
+              "iterations of %d steps):\n",
+              PerCell, Sizes.Iterations, Sizes.StepsPerIteration);
+  std::printf("%-12s %10s %14s %12s %15s %17s\n", "grid", "mode",
+              "launches/step", "specs/step", "submit us/step",
+              "median us/step");
+  printRule(86);
 
   bool GraphWinsSmallest = false;
   bool AllHashesAgree = true;
@@ -154,14 +185,22 @@ bool sweepSubmitOverhead(const BenchSizes &Sizes, JsonReport &Report) {
     char GridName[32];
     std::snprintf(GridName, sizeof(GridName), "%lldx%lldx%lld",
                   (long long)N.Nx, (long long)N.Ny, (long long)N.Nz);
-    const SubmitResult Resubmit = measureSubmit(N, PerCell, false, Sizes);
-    const SubmitResult Graph = measureSubmit(N, PerCell, true, Sizes);
+    SubmitTrial ResubmitTrial(N, PerCell, false, Sizes);
+    SubmitTrial GraphTrial(N, PerCell, true, Sizes);
+    for (int It = 0; It < Sizes.Iterations; ++It) {
+      SubmitTrial &First = It % 2 ? GraphTrial : ResubmitTrial;
+      SubmitTrial &Second = It % 2 ? ResubmitTrial : GraphTrial;
+      First.iterate();
+      Second.iterate();
+    }
+    const SubmitResult Resubmit = ResubmitTrial.result();
+    const SubmitResult Graph = GraphTrial.result();
     const bool HashOk = Graph.Hash == Resubmit.Hash;
     AllHashesAgree = AllHashesAgree && HashOk;
     if (G == 0)
       GraphWinsSmallest =
           Graph.LaunchesPerStep < Resubmit.LaunchesPerStep &&
-          Graph.SubmitUsPerStep < Resubmit.SubmitUsPerStep;
+          Graph.Submit.medianNs() < Resubmit.Submit.medianNs();
     for (const SubmitResult *R : {&Resubmit, &Graph}) {
       const bool IsGraph = R == &Graph;
       BenchRecord Rec =
@@ -169,14 +208,16 @@ bool sweepSubmitOverhead(const BenchSizes &Sizes, JsonReport &Report) {
       Rec.Submit = IsGraph ? "graph" : "resubmit";
       Rec.Scenario = std::string("langmuir-") + GridName;
       Report.add(Rec);
-      std::printf("%-12s %10s %14.2f %12.2f %15.3f%s\n", GridName,
+      std::printf("%-12s %10s %14.2f %12.2f %15.3f %17.3f%s\n", GridName,
                   IsGraph ? "graph" : "resubmit", R->LaunchesPerStep,
                   R->SpecsPerStep, R->SubmitUsPerStep,
+                  R->Submit.medianNs() / Sizes.StepsPerIteration / 1e3,
                   IsGraph && !HashOk ? "  HASH MISMATCH" : "");
     }
   }
   std::printf("\nstep-graph gate: %s (smallest grid: graph %s strictly "
-              "lower in launches/step and submit-us/step; hashes %s)\n",
+              "lower in launches/step and median submit-us/step; hashes "
+              "%s)\n",
               GraphWinsSmallest && AllHashesAgree ? "OK" : "FAIL",
               GraphWinsSmallest ? "is" : "is NOT",
               AllHashesAgree ? "match" : "DIFFER");

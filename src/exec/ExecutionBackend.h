@@ -228,10 +228,8 @@ public:
   virtual bool isAsynchronous() const { return false; }
 
   /// Number of persistent shards this backend partitions work into, or
-  /// 0 for non-sharded backends. Drivers that can route per-shard work
-  /// (LaunchSpec::ShardAffinity) or split reductions into per-shard
-  /// chains key off this (pic/PicSimulation.h,
-  /// pic/TiledCurrentAccumulator.h).
+  /// 0 for non-sharded backends. Drivers that route per-shard work
+  /// (LaunchSpec::ShardAffinity) key off this (pic/PicSimulation.h).
   virtual int shardCount() const { return 0; }
 
   /// Enqueues \p Kernel over \p Spec (after Spec.DependsOn) and returns
@@ -429,29 +427,6 @@ ExecEvent submitKeptLaunch(ExecutionBackend &Backend,
   return submitCachedLaunch(Backend, Ctx, Stats, Items, GrainHint,
                             std::move(Block), DependsOn, Cache,
                             ShardAffinity);
-}
-
-/// Submits an empty ordering-only launch that depends on every event in
-/// \p DependsOn and \returns its completion event — a join handle that
-/// completes once all listed events have. Drivers that fan a stage out
-/// into per-shard chains use it to hand one event to downstream
-/// consumers (the deposit's per-shard reduce chains hand the field solve
-/// a single JReady this way).
-inline ExecEvent submitJoin(ExecutionBackend &Backend,
-                            const ExecutionContext &Ctx, RunStats &Stats,
-                            const std::vector<ExecEvent> &DependsOn,
-                            KernelKeepAlive &Keep) {
-  return submitKeptLaunch(Backend, Ctx, Stats, /*Items=*/0, /*GrainHint=*/0,
-                          [](Index, Index, int, int) {}, DependsOn, Keep);
-}
-
-/// submitJoin over a reusable KernelCache (see submitCachedLaunch).
-inline ExecEvent submitJoin(ExecutionBackend &Backend,
-                            const ExecutionContext &Ctx, RunStats &Stats,
-                            const std::vector<ExecEvent> &DependsOn,
-                            KernelCache &Cache) {
-  return submitCachedLaunch(Backend, Ctx, Stats, /*Items=*/0, /*GrainHint=*/0,
-                            [](Index, Index, int, int) {}, DependsOn, Cache);
 }
 
 } // namespace exec

@@ -45,10 +45,8 @@
 /// (the ExecutionBackend contract), every item is visited exactly once
 /// with steps ascending, and each block replays its items in ascending
 /// order on one thread — so results are bit-identical to the serial
-/// backend by construction, for every shard count. Cross-shard
-/// reductions built on top (the deposit's per-shard accumulate→reduce
-/// chains) stay bit-identical by the same disjoint-ownership argument
-/// as TiledCurrentAccumulator.
+/// backend by construction, for every shard count — the tiled deposit's
+/// accumulate launch included, whose tile groups own disjoint J planes.
 ///
 /// Progress guarantee: lanes pop FIFO and dependencies point at earlier
 /// submissions (the exec layer's contract), so the earliest unfinished

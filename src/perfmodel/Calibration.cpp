@@ -173,17 +173,21 @@ std::vector<double> timeSaturated(double WorkingSetBytes, int Passes,
   };
 
   std::vector<double> TimesNs(std::size_t(Repeats), 0.0);
+  // One checksum sink per thread, published to CalibrationSink once after
+  // the join: the threads never share a store target.
+  std::vector<double> Sinks(std::size_t(Threads), 0.0);
   std::vector<std::thread> Workers;
   Workers.reserve(std::size_t(Threads));
   for (int T = 0; T < Threads; ++T) {
     Workers.emplace_back([&, T] {
       TriadBuffers Buf(triadElements(WorkingSetBytes)); // first-touch local
-      CalibrationSink = triadPasses(Buf.A, Buf.B, Buf.C, Passes); // warmup
+      double &Sink = Sinks[std::size_t(T)];
+      Sink = triadPasses(Buf.A, Buf.B, Buf.C, Passes); // warmup
       int Gen = 0;
       for (int R = 0; R < Repeats; ++R) {
         Barrier(Gen++);
         Stopwatch Watch;
-        CalibrationSink = triadPasses(Buf.A, Buf.B, Buf.C, Passes);
+        Sink += triadPasses(Buf.A, Buf.B, Buf.C, Passes);
         const double Ns = double(Watch.elapsedNanoseconds());
         Barrier(Gen++);
         if (T == 0)
@@ -193,13 +197,18 @@ std::vector<double> timeSaturated(double WorkingSetBytes, int Passes,
   }
   for (std::thread &W : Workers)
     W.join();
+  double Checksum = 0;
+  for (double S : Sinks)
+    Checksum += S;
+  CalibrationSink = Checksum;
   return TimesNs;
 }
 
 /// The FMA throughput loop: 8 independent accumulators of fused
 /// multiply-adds, so the chain latency never serializes the pipes.
-/// Returns flops done.
-double fmaLoop(long long Iterations) {
+/// Adds the accumulators' checksum to \p Sink (owned by the calling
+/// thread) and returns flops done.
+double fmaLoop(long long Iterations, double &Sink) {
   double Acc0 = 1.0, Acc1 = 1.1, Acc2 = 1.2, Acc3 = 1.3;
   double Acc4 = 1.4, Acc5 = 1.5, Acc6 = 1.6, Acc7 = 1.7;
   const double M = 0.999999;
@@ -214,21 +223,20 @@ double fmaLoop(long long Iterations) {
     Acc6 = Acc6 * M + A;
     Acc7 = Acc7 * M + A;
   }
-  CalibrationSink =
-      Acc0 + Acc1 + Acc2 + Acc3 + Acc4 + Acc5 + Acc6 + Acc7;
+  Sink += Acc0 + Acc1 + Acc2 + Acc3 + Acc4 + Acc5 + Acc6 + Acc7;
   return 2.0 * 8.0 * double(Iterations); // one FMA = 2 flops, 8 lanes
 }
 
 /// Median flops/s over \p Repeats repeats of the FMA loop on the calling
-/// thread.
-double measureFmaFlops(long long Iterations, int Repeats) {
-  fmaLoop(Iterations); // warmup
+/// thread; the loops' checksums accumulate into \p Sink.
+double measureFmaFlops(long long Iterations, int Repeats, double &Sink) {
+  fmaLoop(Iterations, Sink); // warmup
   std::vector<double> TimesNs;
   TimesNs.reserve(std::size_t(Repeats));
   double Flops = 0;
   for (int R = 0; R < Repeats; ++R) {
     Stopwatch Watch;
-    Flops = fmaLoop(Iterations);
+    Flops = fmaLoop(Iterations, Sink);
     TimesNs.push_back(double(Watch.elapsedNanoseconds()));
   }
   std::sort(TimesNs.begin(), TimesNs.end());
@@ -241,17 +249,22 @@ double measureFmaFlops(long long Iterations, int Repeats) {
 double measureFmaFlopsSaturated(long long Iterations, int Repeats,
                                 int Threads) {
   std::vector<double> PerThread(std::size_t(Threads), 0.0);
+  std::vector<double> Sinks(std::size_t(Threads), 0.0);
   std::vector<std::thread> Workers;
   Workers.reserve(std::size_t(Threads));
   for (int T = 0; T < Threads; ++T)
     Workers.emplace_back([&, T] {
-      PerThread[std::size_t(T)] = measureFmaFlops(Iterations, Repeats);
+      PerThread[std::size_t(T)] =
+          measureFmaFlops(Iterations, Repeats, Sinks[std::size_t(T)]);
     });
   for (std::thread &W : Workers)
     W.join();
-  double Total = 0;
-  for (double F : PerThread)
-    Total += F;
+  double Total = 0, Checksum = 0;
+  for (int T = 0; T < Threads; ++T) {
+    Total += PerThread[std::size_t(T)];
+    Checksum += Sinks[std::size_t(T)];
+  }
+  CalibrationSink = Checksum;
   return Total;
 }
 
@@ -301,7 +314,10 @@ MachineProfile Calibration::measure(const CalibrationConfig &Config) {
     Out.Tiers.push_back(Tier);
   }
 
-  Out.FmaFlopsPerCore = measureFmaFlops(Config.FmaIterations, Config.Repeats);
+  double Checksum = 0;
+  Out.FmaFlopsPerCore =
+      measureFmaFlops(Config.FmaIterations, Config.Repeats, Checksum);
+  CalibrationSink = Checksum;
   Out.FmaFlopsSaturated = measureFmaFlopsSaturated(
       Config.FmaIterations, Config.Repeats, Out.Threads);
   return Out;

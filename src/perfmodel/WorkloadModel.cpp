@@ -155,8 +155,8 @@ StageWorkload perfmodel::depositStageWorkload(Precision P) {
   W.Stage = "deposit";
   // Particle read + saved old position (3 scalars), and the 3x3x3
   // current scatter: 81 read-modify-write scalars per particle, but a
-  // tile's current slab is cache-resident, so the streamed share is the
-  // slab written back once per tile pass (~2 lines per particle).
+  // tile's owned J planes are cache-resident, so the streamed share is
+  // those planes written back once per tile pass (~2 lines per particle).
   W.BytesPerItem = particleStoredBytes(P) + 3.0 * Scalar + 16.0 * Scalar;
   // Esirkepov form factors (3 x 2 x 3 quadratics), the 27-cell W-tensor
   // assembly and the three current accumulations.

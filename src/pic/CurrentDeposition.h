@@ -19,12 +19,16 @@
 ///     |v| < c).
 ///
 /// Both schemes are written as *scatter kernels over a current sink*: the
-/// kernel computes per-node contributions and hands them to a sink's
-/// addJx/addJy/addJz(I, J, K, Value) with unwrapped node indices. The
-/// GridCurrentSink below writes straight through the periodic YeeGrid
-/// (the classic serial path, wrapped by the deposit* functions); the
-/// TiledCurrentAccumulator's per-tile sink filters writes by x-plane
-/// ownership so the scatter can run backend-parallel while staying
+/// kernel first announces its particle's stencil base node through the
+/// sink's setStencilBase(BX, BY, BZ) — every later write of that particle
+/// lands within [B, B+2] per axis — then hands per-node contributions to
+/// addJx/addJy/addJz(I, J, K, Value) with unwrapped node indices, each
+/// stencil node of a component exactly once. The GridCurrentSink below
+/// writes straight through the periodic YeeGrid (the serial reference
+/// path, wrapped by the deposit* functions, and the test oracle); the
+/// TiledCurrentAccumulator's sink resolves the stencil's addressing once
+/// per particle and adds only into the x-planes its tile owns, in the
+/// same write order, so the scatter runs backend-parallel while staying
 /// bit-identical to the serial particle-order loop.
 ///
 /// The footprint helpers expose each scheme's x-node support (stencil
@@ -48,15 +52,13 @@
 namespace hichi {
 namespace pic {
 
-/// The default current sink: periodic read-modify-write straight into the
-/// Yee grid's J lattices (the serial reference path). wantsX is the
-/// scatter kernels' plane-skip hook — constant true here, so the
-/// compiler removes the checks entirely on this path.
+/// The reference current sink: periodic read-modify-write straight into
+/// the Yee grid's J lattices, every write wrapped on its own.
 template <typename Real> class GridCurrentSink {
 public:
   explicit GridCurrentSink(YeeGrid<Real> &Grid) : Grid(Grid) {}
 
-  bool wantsX(Index) const { return true; }
+  void setStencilBase(Index, Index, Index) {}
   void addJx(Index I, Index J, Index K, Real V) { Grid.Jx(I, J, K) += V; }
   void addJy(Index I, Index J, Index K, Real V) { Grid.Jy(I, J, K) += V; }
   void addJz(Index I, Index J, Index K, Real V) { Grid.Jz(I, J, K) += V; }
@@ -100,18 +102,25 @@ void scatterCurrentDirect(Sink &S, const Vector3<Real> &GridStep,
   const Real CellVolume = D.X * D.Y * D.Z;
   const Vector3<Real> JDensity = Velocity * (Charge / CellVolume);
 
-  // Each J component lives on its E point's staggered sub-lattice. The
-  // wantsX hook lets a tile sink skip whole rejected x-planes.
-  auto DepositComponent = [&](int Component, Real Value, Real Ox, Real Oy,
-                              Real Oz) {
-    Index BX, BY, BZ;
-    Real WX[2], WY[2], WZ[2];
-    CicShape::weights((MidPos.X - O.X) / D.X - Ox, BX, WX);
-    CicShape::weights((MidPos.Y - O.Y) / D.Y - Oy, BY, WY);
-    CicShape::weights((MidPos.Z - O.Z) / D.Z - Oz, BZ, WZ);
-    for (int I = 0; I < 2; ++I) {
-      if (!S.wantsX(BX + I))
-        continue;
+  // Each J component lives on its E point's staggered sub-lattice: half a
+  // cell back along its own axis, node-centred along the other two. The
+  // staggered bases are the stencil's lowest nodes.
+  const Real RX = (MidPos.X - O.X) / D.X, RY = (MidPos.Y - O.Y) / D.Y,
+             RZ = (MidPos.Z - O.Z) / D.Z;
+  Index NX, NY, NZ, HX, HY, HZ;
+  Real WNX[2], WNY[2], WNZ[2], WHX[2], WHY[2], WHZ[2];
+  CicShape::weights(RX, NX, WNX);
+  CicShape::weights(RY, NY, WNY);
+  CicShape::weights(RZ, NZ, WNZ);
+  CicShape::weights(RX - Real(0.5), HX, WHX);
+  CicShape::weights(RY - Real(0.5), HY, WHY);
+  CicShape::weights(RZ - Real(0.5), HZ, WHZ);
+  S.setStencilBase(HX, HY, HZ);
+
+  auto DepositComponent = [&](int Component, Real Value, Index BX,
+                              const Real *WX, Index BY, const Real *WY,
+                              Index BZ, const Real *WZ) {
+    for (int I = 0; I < 2; ++I)
       for (int J = 0; J < 2; ++J)
         for (int K = 0; K < 2; ++K) {
           const Real V = Value * WX[I] * WY[J] * WZ[K];
@@ -122,11 +131,10 @@ void scatterCurrentDirect(Sink &S, const Vector3<Real> &GridStep,
           else
             S.addJz(BX + I, BY + J, BZ + K, V);
         }
-    }
   };
-  DepositComponent(0, JDensity.X, Real(0.5), Real(0), Real(0));
-  DepositComponent(1, JDensity.Y, Real(0), Real(0.5), Real(0));
-  DepositComponent(2, JDensity.Z, Real(0), Real(0), Real(0.5));
+  DepositComponent(0, JDensity.X, HX, WHX, NY, WNY, NZ, WNZ);
+  DepositComponent(1, JDensity.Y, NX, WNX, HY, WHY, NZ, WNZ);
+  DepositComponent(2, JDensity.Z, NX, WNX, NY, WNY, HZ, WHZ);
 }
 
 /// Direct deposition straight into \p Grid (serial reference path).
@@ -167,6 +175,7 @@ void scatterCurrentEsirkepov(Sink &S, const Vector3<Real> &GridStep,
   const Index BX = Index(std::floor(std::min(X0, X1)));
   const Index BY = Index(std::floor(std::min(Y0, Y1)));
   const Index BZ = Index(std::floor(std::min(Z0, Z1)));
+  S.setStencilBase(BX, BY, BZ);
 
   // CIC shapes evaluated on the 3-node stencil {B, B+1, B+2}.
   auto ShapeOnStencil = [](Real X, Index Base, Real Sh[3]) {
@@ -207,12 +216,7 @@ void scatterCurrentEsirkepov(Sink &S, const Vector3<Real> &GridStep,
         S.addJx(BX + I, BY + J, BZ + K, QOverDtV * D.X * Flow);
       }
     }
-  // The Jy/Jz cumulative flows run per x-plane independently, so a tile
-  // sink skips rejected planes wholesale through wantsX (Jx's flow
-  // accumulates *along* x and keeps the per-write filter instead).
-  for (int I = 0; I < 3; ++I) {
-    if (!S.wantsX(BX + I))
-      continue;
+  for (int I = 0; I < 3; ++I)
     for (int K = 0; K < 3; ++K) {
       const Real WxzY = S0x[I] * S0z[K] + Half * DSx[I] * S0z[K] +
                         Half * S0x[I] * DSz[K] + Third * DSx[I] * DSz[K];
@@ -222,10 +226,7 @@ void scatterCurrentEsirkepov(Sink &S, const Vector3<Real> &GridStep,
         S.addJy(BX + I, BY + J, BZ + K, QOverDtV * D.Y * Flow);
       }
     }
-  }
-  for (int I = 0; I < 3; ++I) {
-    if (!S.wantsX(BX + I))
-      continue;
+  for (int I = 0; I < 3; ++I)
     for (int J = 0; J < 3; ++J) {
       const Real WxyZ = S0x[I] * S0y[J] + Half * DSx[I] * S0y[J] +
                         Half * S0x[I] * DSy[J] + Third * DSx[I] * DSy[J];
@@ -235,7 +236,6 @@ void scatterCurrentEsirkepov(Sink &S, const Vector3<Real> &GridStep,
         S.addJz(BX + I, BY + J, BZ + K, QOverDtV * D.Z * Flow);
       }
     }
-  }
 }
 
 /// Esirkepov deposition straight into \p Grid (serial reference path).

@@ -32,8 +32,8 @@
 /// tile-local, the pattern that ports unchanged to distributed-memory
 /// slabs.) The B→E→B half-steps are ordered by LaunchSpec::DependsOn, so
 /// asynchronous backends chain the whole solve without host barriers
-/// (submitStep), and the E launch can additionally wait on the deposit
-/// reduction's event (it is the only launch that reads J).
+/// (submitStep), and the E launch can additionally wait on the deposit's
+/// JReady event (it is the only launch that reads J).
 ///
 /// Determinism: every E/B node is *written* by exactly one tile with the
 /// serial solver's exact expression, the halo copies preserve bits, and
@@ -211,7 +211,7 @@ public:
   /// Submits the E advance as one launch over \p Partition's tiles.
   /// Each tile captures its -x-face By/Bz halo planes, then sweeps. The
   /// only field-solve launch that reads J — its dependency list is where
-  /// the deposit reduction's event goes.
+  /// the deposit's JReady event goes.
   template <typename KeepT>
   exec::ExecEvent submitAdvanceE(YeeGrid<Real> &Grid, Real Dt,
                                  FdtdSlabPartition<Real> &Partition,
@@ -233,9 +233,9 @@ public:
 
   /// Submits one full leapfrog step as the event chain
   /// B(dt/2) → E(dt) → B(dt/2): the E launch waits the first B launch
-  /// *and* \p JReady (the deposit reduction that produced this step's
+  /// *and* \p JReady (the deposit launch that completed this step's
   /// currents — the B launches never read J, so the first half-step may
-  /// overlap the reduction); the trailing B launch waits the E launch.
+  /// overlap the deposit); the trailing B launch waits the E launch.
   /// \returns the trailing launch's event. Wait it (and only then read
   /// \p Stats or drop \p Keep) before touching the fields. \p After
   /// gates the first half-step: the PIC step passes its wrap event

@@ -24,16 +24,15 @@
 /// benchmarks carve their kernel out of.
 ///
 /// One function, issueStep(), writes the step: the J clear, stage 1, the
-/// position wrap, the deposit chain (bin -> accumulate -> reduce) and
-/// the field chain, every one of them a backend launch ordered by event
+/// position wrap, the deposit chain (bin -> accumulate) and the field
+/// chain, every one of them a backend launch ordered by event
 /// dependencies rather than by host waits. A classic step issues that
 /// sequence straight through the stage backends; a graph-mode step
 /// issues the very same sequence through GraphCapture wrappers once and
 /// replays the recorded DAG afterwards (exec/StepGraph.h). The field
-/// chain waits the deposit reduction only at the first launch that
-/// reads J (the FDTD E advance / the spectral gather), so on
-/// asynchronous backends the first FDTD half-step overlaps the
-/// reduction — while the chain keeps the per-node operation order, and
+/// chain waits the deposit only at the first launch that reads J (the
+/// FDTD E advance / the spectral gather), so on asynchronous backends
+/// the first FDTD half-step overlaps the deposit — while the chain keeps the per-node operation order, and
 /// hence the state hash, bit-identical to the all-serial loop.
 ///
 /// On a sharded push backend stage 1 runs per shard: each shard samples
@@ -136,10 +135,11 @@ template <typename Real> struct PicOptions {
   int PushThreads = 0;
 
   /// Execution backend for the current-deposition stage. The scatter
-  /// couples particles through the grid, so it runs as per-tile
-  /// read-modify-write blocks with a fixed-order reduction
-  /// (TiledCurrentAccumulator); results are bit-identical to the serial
-  /// scatter for every backend, thread count and tile count.
+  /// couples particles through the grid, so it runs as a parallel bin
+  /// launch and per-tile blocks that each add, in particle order, into
+  /// the grid x-planes their tile owns (TiledCurrentAccumulator);
+  /// results are bit-identical to the serial scatter for every backend,
+  /// thread count and tile count.
   std::string DepositBackend = "serial";
 
   /// Worker threads for the deposit stage; 0 means all.
@@ -154,7 +154,7 @@ template <typename Real> struct PicOptions {
   /// face, the spectral solver as k-space line/row launches; both are
   /// bit-identical to the serial solver for every backend, thread count
   /// and tile count. Asynchronous backends event-chain the solve against
-  /// the deposit reduction.
+  /// the deposit.
   std::string FieldBackend = "serial";
 
   /// Worker threads for the field-solve stage; 0 means all.
@@ -375,14 +375,14 @@ private:
   ///   3. the position wrap, gated on every push launch — it keeps the
   ///      unwrapped endpoint aside, since the deposition needs the
   ///      physical displacement;
-  ///   4. the deposit chain (bin -> accumulate -> reduce) gated on
+  ///   4. the deposit chain (bin -> accumulate) gated on
   ///      {Wrapped, Cleared}, bit-identical to the serial particle-order
   ///      scatter (TiledCurrentAccumulator.h);
-  ///   5. the field chain, gated on the reduction at the first launch
+  ///   5. the field chain, gated on the deposit at the first launch
   ///      that reads J, and for FDTD also on the wrap: advanceB writes
   ///      the B lattice stage 1 reads, and under replay no host wait
   ///      orders the two (the spectral gather is ordered through the
-  ///      reduction already).
+  ///      deposit already).
   ///
   /// Every stage is a launch, so a classic step's launch ledger equals
   /// the captured graph's node count. Everything is waited on return.
@@ -754,8 +754,8 @@ public:
   /// Accumulated timing of the push stage across all steps so far.
   const RunStats &pushStats() const { return PushTiming; }
 
-  /// Accumulated wall time of the deposit stage (binning + accumulate +
-  /// reduce; submission only when an asynchronous field backend overlaps
+  /// Accumulated wall time of the deposit stage (binning + accumulate;
+  /// submission only when an asynchronous field backend overlaps
   /// the tail) across all steps so far.
   const RunStats &depositStats() const { return DepositTiming; }
 
@@ -769,8 +769,8 @@ public:
   const RunStats &precalcKernelStats() const { return PrecalcKernelTiming; }
   const RunStats &pushKernelStats() const { return PushKernelTiming; }
 
-  /// Per-launch ledger of the deposit chain (clear + bin + accumulate +
-  /// reduce): launches, specs built and submit-overhead nanoseconds.
+  /// Per-launch ledger of the deposit chain (clear + bin + accumulate):
+  /// launches, specs built and submit-overhead nanoseconds.
   const RunStats &depositLaunchStats() const { return DepositLaunchStats; }
 
   /// Per-launch ledger of the field-solve chain.

@@ -25,9 +25,8 @@
 ///
 /// What a fired repartition changes and what it preserves:
 ///  - deposit tiles move their plane boundaries (bit-preserving for ANY
-///    boundaries: every J node keeps exactly one owner and the reduce
-///    order is fixed — the PR 2 determinism argument is
-///    boundary-independent);
+///    boundaries: every J node keeps exactly one owner — the tiled
+///    deposit's determinism argument is boundary-independent);
 ///  - the sharded push re-splits its particle-index blocks
 ///    (bit-preserving for ANY index partition: the push is
 ///    per-particle-independent);

@@ -34,8 +34,8 @@
 /// independent at some granularity: the gather/scatter per component
 /// lattice, each FFT pass per 1-D line (Fft3D's per-line API), and the
 /// mode update per k-space point. submitStep() therefore fans the step
-/// out as an event-chained launch graph — gather (waits the deposit
-/// reduction's JReady event) → three forward passes per spectrum (z, y,
+/// out as an event-chained launch graph — gather (waits the deposit's
+/// JReady event) → three forward passes per spectrum (z, y,
 /// x, chained per lattice; independent lattices overlap on asynchronous
 /// backends) → one mode-update launch over k-space rows → three inverse
 /// passes per E/B spectrum → scatter — and the serial step() runs the

@@ -12,29 +12,27 @@
 /// grid's x-planes are partitioned into disjoint *tiles* (x-slabs,
 /// following the sorter's x-major cell order, so a cell-sorted ensemble
 /// yields nearly contiguous per-tile particle lists), and one PIC-step
-/// deposition becomes three phases:
+/// deposition becomes two phases:
 ///
-///   1. bin (one single-item launch, O(N)): each particle's scheme
-///      footprint (stencil plus the CIC/Esirkepov staggering halo, see
-///      the footprint helpers in CurrentDeposition.h) decides which
-///      tiles it can write; its index is appended to those tiles' lists,
-///      so every list is ascending;
-///   2. accumulate (one backend launch, items = tiles, GrainHint = 1):
-///      each tile replays its list in order into a private slab lattice,
-///      discarding writes that fall outside its owned planes;
-///   3. reduce (one backend launch, items = tiles): each tile adds its
-///      slab into the grid; tiles are walked in ascending order within
-///      every block.
+///   1. bin (one backend launch, items = BinChunks fixed particle
+///      chunks): each particle's scheme footprint (stencil plus the
+///      CIC/Esirkepov staggering halo, see the footprint helpers in
+///      CurrentDeposition.h) decides which tiles it can write; chunk c
+///      appends its particles' indices to its own per-tile sublists, so
+///      a tile's sublists walked in chunk order list its particles in
+///      ascending order;
+///   2. accumulate (one backend launch, items = tiles, GrainHint = 1; a
+///      sharded backend gives each lane one contiguous tile group): each tile
+///      replays its particles in that order through an OwnedPlanesSink,
+///      adding straight into the grid planes it owns — which the step's
+///      J-clear node has already zeroed.
 ///
 /// Determinism argument (docs/ARCHITECTURE.md spells it out in full):
 /// every J node is owned by exactly one tile, so it receives exactly the
-/// contributions the serial particle-order scatter gives it, in the same
-/// order, folded from the same +0.0 — and the reduction adds that partial
-/// sum onto the grid's cleared +0.0, a bitwise identity. Results are
-/// therefore bit-identical to the serial scatter for every registered
-/// backend, thread count and tile count (enforced by
-/// tests/pic/TiledDepositionTest.cpp); the fixed reduction order is
-/// belt-and-braces on top of the disjoint ownership.
+/// adds the serial particle-order scatter gives it, in the same order,
+/// onto the same cleared +0.0. Results are therefore bit-identical to the
+/// serial scatter for every registered backend, thread count and tile
+/// count (enforced by tests/pic/TiledDepositionTest.cpp).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,148 +53,134 @@
 namespace hichi {
 namespace pic {
 
-/// A current sink restricted to one tile's owned x-planes: writes whose
-/// wrapped x-node falls outside [PlaneBegin, PlaneEnd) are dropped (the
-/// neighbouring tile owns them and replays the same particle itself).
-template <typename Real> class TileCurrentSink {
+/// Periodic wrap for stencil and plane indices, which stay within a
+/// couple of periods of [0, N): the CIC/Esirkepov bases come from floor()
+/// of in-box node-relative positions (old positions are wrapped every
+/// step), so conditional adds replace the %-based ScalarLattice::wrap on
+/// this hot path.
+inline Index wrapNear(Index I, Index N) {
+  while (I < 0)
+    I += N;
+  while (I >= N)
+    I -= N;
+  return I;
+}
+
+/// The production current sink: adds straight into the grid's J lattices,
+/// restricted to the logical x-planes [PlaneBegin, PlaneEnd) one tile
+/// owns (the whole grid for the one-tile path). setStencilBase resolves
+/// a particle's 3-node-per-axis stencil once — the wrapped y/z offsets,
+/// the ring-mapped physical offset of each x-plane and that plane's
+/// ownership — so every write is a table lookup and one add. Writes keep
+/// the kernel's own order, so each owned node sees the very sequence of
+/// adds GridCurrentSink gives it, aliased stencil nodes of tiny grids
+/// included.
+template <typename Real> class OwnedPlanesSink {
 public:
-  TileCurrentSink(Real *Jx, Real *Jy, Real *Jz, Index PlaneBegin,
-                  Index PlaneEnd, GridSize Size)
-      : Jx(Jx), Jy(Jy), Jz(Jz), PlaneBegin(PlaneBegin), PlaneEnd(PlaneEnd),
-        Size(Size) {}
+  OwnedPlanesSink(YeeGrid<Real> &Grid, Index PlaneBegin, Index PlaneEnd)
+      : Jx(Grid.Jx.raw().data()), Jy(Grid.Jy.raw().data()),
+        Jz(Grid.Jz.raw().data()), PlaneBegin(PlaneBegin), PlaneEnd(PlaneEnd),
+        XBase(Grid.Jx.xBase()), Size(Grid.size()) {}
 
-  /// Plane-skip hook for the scatter kernels: true iff this tile owns
-  /// the (wrapped) x-plane \p I.
-  bool wantsX(Index I) const {
-    const Index WI = wrapNear(I, Size.Nx);
-    return WI >= PlaneBegin && WI < PlaneEnd;
+  void setStencilBase(Index X, Index Y, Index Z) {
+    BX = X;
+    BY = Y;
+    BZ = Z;
+    for (int D = 0; D < 3; ++D) {
+      const Index Plane = wrapNear(X + D, Size.Nx);
+      Owned[D] = Plane >= PlaneBegin && Plane < PlaneEnd;
+      XOff[D] = wrapNear(Plane + XBase, Size.Nx) * Size.Ny * Size.Nz;
+      YOff[D] = wrapNear(Y + D, Size.Ny) * Size.Nz;
+      ZOff[D] = wrapNear(Z + D, Size.Nz);
+    }
   }
 
-  void addJx(Index I, Index J, Index K, Real V) {
-    if (Real *P = slot(Jx, I, J, K))
-      *P += V;
-  }
-  void addJy(Index I, Index J, Index K, Real V) {
-    if (Real *P = slot(Jy, I, J, K))
-      *P += V;
-  }
-  void addJz(Index I, Index J, Index K, Real V) {
-    if (Real *P = slot(Jz, I, J, K))
-      *P += V;
-  }
+  void addJx(Index I, Index J, Index K, Real V) { add(Jx, I, J, K, V); }
+  void addJy(Index I, Index J, Index K, Real V) { add(Jy, I, J, K, V); }
+  void addJz(Index I, Index J, Index K, Real V) { add(Jz, I, J, K, V); }
 
 private:
-  /// Periodic wrap for stencil indices, which are always within
-  /// [-1, N+1]: the CIC/Esirkepov bases come from floor() of in-box
-  /// node-relative positions (old positions are wrapped every step), so
-  /// a couple of conditional adds replace the %-based
-  /// ScalarLattice::wrap on this hot path. The loops run at most twice.
-  static Index wrapNear(Index I, Index N) {
-    while (I < 0)
-      I += N;
-    while (I >= N)
-      I -= N;
-    return I;
-  }
-
-  Real *slot(Real *Base, Index I, Index J, Index K) const {
-    const Index WI = wrapNear(I, Size.Nx);
-    if (WI < PlaneBegin || WI >= PlaneEnd)
-      return nullptr;
-    const Index WJ = wrapNear(J, Size.Ny);
-    const Index WK = wrapNear(K, Size.Nz);
-    return Base + ((WI - PlaneBegin) * Size.Ny + WJ) * Size.Nz + WK;
+  void add(Real *Lattice, Index I, Index J, Index K, Real V) {
+    if (Owned[I - BX])
+      Lattice[XOff[I - BX] + YOff[J - BY] + ZOff[K - BZ]] += V;
   }
 
   Real *Jx, *Jy, *Jz;
-  Index PlaneBegin, PlaneEnd;
+  Index PlaneBegin, PlaneEnd, XBase;
   GridSize Size;
+  Index BX = 0, BY = 0, BZ = 0;
+  bool Owned[3] = {};
+  Index XOff[3] = {}, YOff[3] = {}, ZOff[3] = {};
 };
 
 /// Runs the per-step current deposition over an exec::ExecutionBackend,
 /// bit-identical to the serial particle-order scatter (see the file
-/// comment for the three-phase scheme and the determinism argument).
+/// comment for the two-phase scheme and the determinism argument).
 /// One accumulator instance is meant to live as long as its simulation:
-/// tile lists and slab lattices are reused across steps.
+/// the bin sublists are reused across steps.
 template <typename Real> class TiledCurrentAccumulator {
 public:
+  /// Particle chunks of the bin launch. Fixed, so a captured step graph
+  /// keeps one bin node shape whatever the backend's width.
+  static constexpr Index BinChunks = 16;
+
   /// Partitions the \p Size.Nx x-planes into \p RequestedTiles slabs
   /// via the shared slab helper (exec/SlabPartition.h — the identical
   /// clamp and even split the FDTD partition and the sharded backend
-  /// use, degenerate requests included). One tile means the classic
-  /// serial scatter with no private slabs at all.
+  /// use, degenerate requests included). One tile means the serial
+  /// particle-order scatter with no binning at all.
   TiledCurrentAccumulator(GridSize Size, Vector3<Real> Origin,
                           Vector3<Real> Step, int RequestedTiles)
-      : Size(Size), Origin(Origin), Step(Step) {
+      : Size(Size), Origin(Origin), Step(Step),
+        Chunks(std::size_t(BinChunks)) {
     const Index NumTiles =
         exec::clampSlabCount(Size.Nx, Index(RequestedTiles));
-    Tiles.resize(std::size_t(NumTiles));
-    OwnerOfPlane.resize(std::size_t(Size.Nx));
-    const std::size_t PlaneElems =
-        std::size_t(Size.Ny) * std::size_t(Size.Nz);
-    for (Index T = 0; T < NumTiles; ++T) {
-      Tile &Slab = Tiles[std::size_t(T)];
-      const exec::SlabRange R = exec::slabRange(Size.Nx, NumTiles, T);
-      Slab.PlaneBegin = R.Begin;
-      Slab.PlaneEnd = R.End;
-      for (Index P = Slab.PlaneBegin; P < Slab.PlaneEnd; ++P)
-        OwnerOfPlane[std::size_t(P)] = int(T);
-      if (NumTiles > 1) {
-        const std::size_t Elems =
-            std::size_t(Slab.PlaneEnd - Slab.PlaneBegin) * PlaneElems;
-        Slab.Jx.assign(Elems, Real(0));
-        Slab.Jy.assign(Elems, Real(0));
-        Slab.Jz.assign(Elems, Real(0));
-      }
-    }
+    std::vector<Index> Even(std::size_t(NumTiles) + 1, Size.Nx);
+    for (Index T = 0; T < NumTiles; ++T)
+      Even[std::size_t(T)] = exec::slabRange(Size.Nx, NumTiles, T).Begin;
+    Bounds.resize(Even.size());
+    retile(Even);
   }
 
-  int tileCount() const { return int(Tiles.size()); }
+  int tileCount() const { return int(Bounds.size()) - 1; }
 
   /// \returns the current tileCount()+1 plane boundaries (tile T owns
   /// planes [B[T], B[T+1])) — what the rebalance tests inspect.
-  std::vector<Index> tileBoundaries() const {
-    std::vector<Index> Bounds;
-    Bounds.reserve(Tiles.size() + 1);
-    Bounds.push_back(Tiles.empty() ? 0 : Tiles.front().PlaneBegin);
-    for (const Tile &Slab : Tiles)
-      Bounds.push_back(Slab.PlaneEnd);
-    return Bounds;
-  }
+  std::vector<Index> tileBoundaries() const { return Bounds; }
 
   /// Moves the tile plane boundaries to \p Boundaries (tileCount()+1
   /// ascending planes, front 0 and back Nx — e.g. from
   /// exec::weightedSlabBoundaries over a measured occupancy histogram).
-  /// The tile *count* is fixed at construction; only the ranges move,
-  /// and the private J slabs are resized (and re-zeroed) to the new
-  /// extents. Deposition stays bit-identical to the serial scatter for
-  /// ANY boundaries — every J node keeps exactly one owner and the
-  /// reduce order is fixed — so a retile changes performance, never
-  /// bits. Callers in step-graph mode must still recapture: not for the
-  /// deposit (the kernels read the tile table live), but because the
-  /// companion push re-split bakes its block ranges into the graph.
+  /// The tile *count* is fixed at construction; only the ranges move.
+  /// Deposition stays bit-identical to the serial scatter for ANY
+  /// boundaries — every J node keeps exactly one owner — so a retile
+  /// changes performance, never bits. Callers in step-graph mode must
+  /// still recapture: not for the deposit (the kernels read the tile
+  /// table live), but because the companion push re-split bakes its
+  /// block ranges into the graph.
   void retile(const std::vector<Index> &Boundaries) {
-    assert(Index(Boundaries.size()) == Index(Tiles.size()) + 1 &&
+    assert(Boundaries.size() == Bounds.size() &&
            "boundary count must match the fixed tile count");
     assert(Boundaries.front() == 0 && Boundaries.back() == Size.Nx &&
            "boundaries must tile [0, Nx)");
-    const std::size_t PlaneElems =
-        std::size_t(Size.Ny) * std::size_t(Size.Nz);
-    const Index NumTiles = Index(Tiles.size());
-    for (Index T = 0; T < NumTiles; ++T) {
-      Tile &Slab = Tiles[std::size_t(T)];
-      Slab.PlaneBegin = Boundaries[std::size_t(T)];
-      Slab.PlaneEnd = Boundaries[std::size_t(T) + 1];
-      for (Index P = Slab.PlaneBegin; P < Slab.PlaneEnd; ++P)
-        OwnerOfPlane[std::size_t(P)] = int(T);
-      if (NumTiles > 1) {
-        const std::size_t Elems =
-            std::size_t(Slab.PlaneEnd - Slab.PlaneBegin) * PlaneElems;
-        Slab.Jx.assign(Elems, Real(0));
-        Slab.Jy.assign(Elems, Real(0));
-        Slab.Jz.assign(Elems, Real(0));
+    Bounds = Boundaries;
+    std::vector<int> OwnerOfPlane(std::size_t(Size.Nx));
+    for (int T = 0; T < tileCount(); ++T)
+      for (Index P = Bounds[std::size_t(T)]; P < Bounds[std::size_t(T) + 1];
+           ++P)
+        OwnerOfPlane[std::size_t(P)] = T;
+    // Footprints are 2 or 3 consecutive planes from their (wrapped) first
+    // plane L; entry 2L + (planes - 2) lists their distinct owners.
+    FootprintOwners.assign(2 * std::size_t(Size.Nx), Owners{});
+    for (Index L = 0; L < Size.Nx; ++L)
+      for (Index Extra = 0; Extra < 2; ++Extra) {
+        Owners &O = FootprintOwners[std::size_t(2 * L + Extra)];
+        for (Index XI = L; XI <= L + 1 + Extra; ++XI) {
+          const int T = OwnerOfPlane[std::size_t(wrapNear(XI, Size.Nx))];
+          if (std::find(O.Tile, O.Tile + O.Count, T) == O.Tile + O.Count)
+            O.Tile[O.Count++] = T;
+        }
       }
-    }
   }
 
   /// Deposits the currents of every particle of \p View moving from
@@ -216,20 +200,18 @@ public:
         .wait();
   }
 
-  /// The event-chained form of deposit(): submits the bin, accumulate
-  /// and reduce phases as non-blocking launches, each depending on the
-  /// one before, and \returns the reduction's event — the handle the
-  /// backend-parallel field solve chains its E advance on (only that
-  /// launch reads J, so the first FDTD half-step may overlap the
-  /// reduction). \p After gates the first phase, which reads particle
-  /// endpoints and (with one tile) writes the grid: the PIC step passes
-  /// its wrap and clear-current events. Binning is a launch so a
-  /// captured step graph rebins the moved particles on every replay.
-  /// Kernel bodies are parked in \p Keep (a per-step KernelKeepAlive or
-  /// a reusable KernelCache); wait the returned event (and only then
-  /// read \p Stats or drop \p Keep) before touching the J lattices. On
-  /// synchronous backends everything executes inline and the returned
-  /// event is already complete.
+  /// The event-chained form of deposit(): submits the bin and accumulate
+  /// phases as non-blocking launches, the second depending on the first,
+  /// and \returns the event after which J is complete — the handle the
+  /// backend-parallel field solve chains its E advance on. \p After
+  /// gates the first phase, which reads particle endpoints and (with one
+  /// tile) writes the grid: the PIC step passes its wrap and clear-current
+  /// events. Binning is a launch so a captured step graph rebins the
+  /// moved particles on every replay. Kernel bodies are parked in \p Keep
+  /// (a per-step KernelKeepAlive or a reusable KernelCache); wait the
+  /// returned event (and only then read \p Stats or drop \p Keep) before
+  /// touching the J lattices. On synchronous backends everything executes
+  /// inline and the returned event is already complete.
   template <typename ParticleView, typename KeepT>
   exec::ExecEvent
   submitDeposit(YeeGrid<Real> &Grid, const ParticleView &View,
@@ -246,136 +228,66 @@ public:
     // by-value captures below can never go stale.
     Origin = Grid.origin();
     const Vector3<Real> D = Step, O = Origin;
+    YeeGrid<Real> *GridPtr = &Grid;
+    TiledCurrentAccumulator *Self = this;
 
     if (tileCount() == 1) {
-      // One tile owns the whole grid: the plain serial particle-order
-      // scatter as a single launch item (nothing to partition).
-      YeeGrid<Real> *GridPtr = &Grid;
+      // One tile owns the whole grid: the serial particle-order scatter
+      // as a single launch item (nothing to bin).
+      const Index Nx = Size.Nx;
       auto Block = [=](Index, Index, int, int) {
-        GridCurrentSink<Real> Sink(*GridPtr);
+        OwnedPlanesSink<Real> Sink(*GridPtr, 0, Nx);
         for (Index I = 0; I < N; ++I)
           scatterParticle(Sink, View[I], OldPos[I], NewPos[I], Types, D, O,
                           Dt, ChargeConserving);
       };
-      return submitOverTiles(Backend, Ctx, Stats, 1, std::move(Block), After,
+      return submitOverItems(Backend, Ctx, Stats, 1, std::move(Block), After,
                              Keep);
     }
 
-    // Phase 1 — binning, one item (the bins are built in particle
-    // order), gated on \p After.
-    TiledCurrentAccumulator *Self = this;
-    auto BinBlock = [=](Index, Index, int, int) {
-      Self->binParticles(OldPos, NewPos, ChargeConserving, N);
+    // Phase 1 — binning over the fixed particle chunks, gated on \p After.
+    auto BinBlock = [=](Index Begin, Index End, int, int) {
+      for (Index C = Begin; C < End; ++C)
+        Self->binChunk(C, OldPos, NewPos, ChargeConserving, N);
     };
-    const std::vector<exec::ExecEvent> AccDeps = {
-        submitOverTiles(Backend, Ctx, Stats, 1, std::move(BinBlock), After,
-                        Keep)};
+    const std::vector<exec::ExecEvent> Binned = {submitOverItems(
+        Backend, Ctx, Stats, BinChunks, std::move(BinBlock), After, Keep)};
 
-    // Phase 2 — per-tile private accumulation. Tiles own disjoint plane
-    // ranges, so any backend may run them in any order concurrently.
-    // (The lambda takes absolute tile indices, so the full-launch and
-    // per-shard submission shapes below share one body.)
-    Tile *TilesPtr = Tiles.data();
-    const GridSize Sz = Size;
+    // Phase 2 — each tile adds its particles, in ascending order, into
+    // the grid planes it owns. Owned plane ranges are disjoint, so any
+    // backend may run tiles in any order concurrently (a sharded backend
+    // splits the tiles into one contiguous group per lane).
     auto Accumulate = [=](Index Begin, Index End, int, int) {
       for (Index T = Begin; T < End; ++T) {
-        Tile &Slab = TilesPtr[T];
-        if (Slab.Particles.empty())
-          continue;
-        std::fill(Slab.Jx.begin(), Slab.Jx.end(), Real(0));
-        std::fill(Slab.Jy.begin(), Slab.Jy.end(), Real(0));
-        std::fill(Slab.Jz.begin(), Slab.Jz.end(), Real(0));
-        TileCurrentSink<Real> Sink(Slab.Jx.data(), Slab.Jy.data(),
-                                   Slab.Jz.data(), Slab.PlaneBegin,
-                                   Slab.PlaneEnd, Sz);
-        for (Index I : Slab.Particles)
-          scatterParticle(Sink, View[I], OldPos[I], NewPos[I], Types, D, O,
-                          Dt, ChargeConserving);
-      }
-    };
-
-    // Phase 3 — reduction into the grid, ascending tile order within each
-    // block. Owned plane ranges are disjoint, so tiles reduce race-free
-    // in parallel; under a moving window the logical planes ring-map onto
-    // physical storage (possibly straddling the seam), so each logical
-    // plane translates to its own contiguous physical run — identical
-    // element order, and at ring base 0 identical addresses, to the flat
-    // single-run loop this generalizes.
-    const std::size_t PlaneElems =
-        std::size_t(Size.Ny) * std::size_t(Size.Nz);
-    const Index XBase = Grid.Jx.xBase();
-    Real *GJx = Grid.Jx.raw().data();
-    Real *GJy = Grid.Jy.raw().data();
-    Real *GJz = Grid.Jz.raw().data();
-    auto Reduce = [=](Index Begin, Index End, int, int) {
-      for (Index T = Begin; T < End; ++T) {
-        const Tile &Slab = TilesPtr[T];
-        if (Slab.Particles.empty())
-          continue;
-        for (Index P = Slab.PlaneBegin; P < Slab.PlaneEnd; ++P) {
-          const std::size_t Dst =
-              std::size_t(ScalarLattice<Real>::wrap(P + XBase, Sz.Nx)) *
-              PlaneElems;
-          const std::size_t Src =
-              std::size_t(P - Slab.PlaneBegin) * PlaneElems;
-          for (std::size_t E = 0; E < PlaneElems; ++E) {
-            GJx[Dst + E] += Slab.Jx[Src + E];
-            GJy[Dst + E] += Slab.Jy[Src + E];
-            GJz[Dst + E] += Slab.Jz[Src + E];
+        OwnedPlanesSink<Real> Sink(*GridPtr, Self->Bounds[std::size_t(T)],
+                                   Self->Bounds[std::size_t(T) + 1]);
+        for (const ChunkBins &Bins : Self->Chunks)
+          for (Index E = Bins.Start[std::size_t(T)];
+               E < Bins.Start[std::size_t(T) + 1]; ++E) {
+            const Index I = Bins.Particles[std::size_t(E)];
+            scatterParticle(Sink, View[I], OldPos[I], NewPos[I], Types, D, O,
+                            Dt, ChargeConserving);
           }
-        }
       }
     };
 
-    // Sharded backend: per-shard accumulate→reduce chains instead of a
-    // global barrier between the phases. Each shard owns a contiguous
-    // tile group (the shared slab split, so shard s gets the same tiles
-    // every step); its reduce waits only its *own* accumulate — legal
-    // because a group's reduction touches exactly its own tiles' plane
-    // ranges, disjoint from every other group's. The returned join
-    // event completes when every shard's reduce has, and the result is
-    // bit-identical by the same disjoint-ownership argument as the
-    // barriered shape (each tile's fold and reduction are unchanged).
-    if (const int ShardsK = Backend.shardCount();
-        ShardsK > 1 && tileCount() > 1) {
-      const Index NumTiles = Index(tileCount());
-      const Index Groups = exec::clampSlabCount(NumTiles, Index(ShardsK));
-      std::vector<exec::ExecEvent> Reduced;
-      Reduced.reserve(std::size_t(Groups));
-      for (Index G = 0; G < Groups; ++G) {
-        const exec::SlabRange R = exec::slabRange(NumTiles, Groups, G);
-        const Index Tile0 = R.Begin;
-        auto AccumulateGroup = [=](Index Begin, Index End, int S0, int S1) {
-          Accumulate(Tile0 + Begin, Tile0 + End, S0, S1);
-        };
-        auto ReduceGroup = [=](Index Begin, Index End, int S0, int S1) {
-          Reduce(Tile0 + Begin, Tile0 + End, S0, S1);
-        };
-        const exec::ExecEvent Accumulated = exec::submitKeptLaunch(
-            Backend, Ctx, Stats, R.size(), /*GrainHint=*/1,
-            std::move(AccumulateGroup), AccDeps, Keep,
-            /*ShardAffinity=*/int(G));
-        Reduced.push_back(exec::submitKeptLaunch(
-            Backend, Ctx, Stats, R.size(), /*GrainHint=*/1,
-            std::move(ReduceGroup), {Accumulated}, Keep,
-            /*ShardAffinity=*/int(G)));
-      }
-      return exec::submitJoin(Backend, Ctx, Stats, Reduced, Keep);
-    }
-
-    const exec::ExecEvent Accumulated = submitOverTiles(
-        Backend, Ctx, Stats, Index(tileCount()), std::move(Accumulate),
-        AccDeps, Keep);
-    return submitOverTiles(Backend, Ctx, Stats, Index(tileCount()),
-                           std::move(Reduce), {Accumulated}, Keep);
+    return submitOverItems(Backend, Ctx, Stats, Index(tileCount()),
+                           std::move(Accumulate), Binned, Keep);
   }
 
 private:
-  struct Tile {
-    Index PlaneBegin = 0;          ///< first owned x-plane
-    Index PlaneEnd = 0;            ///< one past the last owned x-plane
-    std::vector<Index> Particles;  ///< ascending indices, rebuilt per step
-    std::vector<Real> Jx, Jy, Jz;  ///< private slab lattices (empty if 1 tile)
+  /// One bin chunk's per-tile sublists, in CSR form: tile T's particles
+  /// are Particles[Start[T], Start[T+1]), ascending.
+  struct ChunkBins {
+    std::vector<Index> Start;     ///< tileCount()+1 offsets
+    std::vector<Index> Cursor;    ///< per-tile fill position
+    std::vector<Index> Particles; ///< sized to the largest step seen
+  };
+
+  /// The distinct tiles owning one footprint's planes.
+  struct Owners {
+    int Count = 0;
+    int Tile[3] = {};
   };
 
   /// One particle's scatter through \p Sink, both schemes.
@@ -394,17 +306,18 @@ private:
     }
   }
 
-  /// Phase 1 — bins particle indices into the tiles their scheme
-  /// footprint can touch (at most 3 x-nodes, hence at most 3 owners).
-  void binParticles(const Vector3<Real> *OldPos, const Vector3<Real> *NewPos,
-                    bool ChargeConserving, Index N) {
-    for (Tile &T : Tiles)
-      T.Particles.clear();
+  /// Calls \p Visit(I, T) for each particle I in [Begin, End), ascending,
+  /// and each distinct tile T its scheme footprint can write (2 or 3
+  /// x-nodes, hence at most 3 owners).
+  template <typename VisitFn>
+  void forEachOwner(Index Begin, Index End, const Vector3<Real> *OldPos,
+                    const Vector3<Real> *NewPos, bool ChargeConserving,
+                    VisitFn &&Visit) const {
     // The node-relative coordinates must be computed exactly as the
     // scatter kernels compute them (true division, same operand order):
     // an ulp of drift at a plane boundary would bin a particle away from
     // a tile its scatter actually writes.
-    for (Index I = 0; I < N; ++I) {
+    for (Index I = Begin; I < End; ++I) {
       Index Lo, Hi;
       if (ChargeConserving) {
         esirkepovFootprintX((OldPos[I].X - Origin.X) / Step.X,
@@ -414,29 +327,43 @@ private:
             ((OldPos[I].X + NewPos[I].X) * Real(0.5) - Origin.X) / Step.X;
         directFootprintX(MidRel, Lo, Hi);
       }
-      int Owners[4];
-      int NumOwners = 0;
-      for (Index XI = Lo; XI <= Hi; ++XI) {
-        const int T = OwnerOfPlane[std::size_t(
-            ScalarLattice<Real>::wrap(XI, Size.Nx))];
-        bool Seen = false;
-        for (int W = 0; W < NumOwners; ++W)
-          Seen = Seen || Owners[W] == T;
-        if (!Seen)
-          Owners[NumOwners++] = T;
-      }
-      for (int W = 0; W < NumOwners; ++W)
-        Tiles[std::size_t(Owners[W])].Particles.push_back(I);
+      const Owners &O = FootprintOwners[std::size_t(
+          2 * wrapNear(Lo, Size.Nx) + (Hi - Lo - 1))];
+      for (int W = 0; W < O.Count; ++W)
+        Visit(I, O.Tile[W]);
     }
   }
 
-  /// One non-blocking backend launch over \p Items tiles, one
-  /// schedulable chunk per tile (GrainHint = 1); the body is parked in
+  /// Phase 1 for chunk \p C, i.e. particles [N*C/BinChunks,
+  /// N*(C+1)/BinChunks): counts each tile's entries first, so the
+  /// sublists are sized exactly (no growth overshoot), then fills them.
+  void binChunk(Index C, const Vector3<Real> *OldPos,
+                const Vector3<Real> *NewPos, bool ChargeConserving, Index N) {
+    ChunkBins &Bins = Chunks[std::size_t(C)];
+    const Index Begin = N * C / BinChunks, End = N * (C + 1) / BinChunks;
+    const std::size_t NumTiles = std::size_t(tileCount());
+    Bins.Start.assign(NumTiles + 1, 0);
+    forEachOwner(Begin, End, OldPos, NewPos, ChargeConserving,
+                 [&](Index, int T) { ++Bins.Start[std::size_t(T) + 1]; });
+    for (std::size_t T = 0; T < NumTiles; ++T)
+      Bins.Start[T + 1] += Bins.Start[T];
+    if (std::size_t(Bins.Start[NumTiles]) > Bins.Particles.size())
+      Bins.Particles = std::vector<Index>(std::size_t(Bins.Start[NumTiles]));
+    Bins.Cursor.assign(Bins.Start.begin(), Bins.Start.end() - 1);
+    forEachOwner(Begin, End, OldPos, NewPos, ChargeConserving,
+                 [&](Index I, int T) {
+                   Bins.Particles[std::size_t(Bins.Cursor[std::size_t(T)]++)] =
+                       I;
+                 });
+  }
+
+  /// One non-blocking backend launch over \p Items items, one
+  /// schedulable chunk per item (GrainHint = 1); the body is parked in
   /// \p Keep (per-step KernelKeepAlive or reusable KernelCache) until
   /// the chain's final wait (the asynchronous lifetime contract).
   template <typename BlockFn, typename KeepT>
   static exec::ExecEvent
-  submitOverTiles(exec::ExecutionBackend &Backend,
+  submitOverItems(exec::ExecutionBackend &Backend,
                   const exec::ExecutionContext &Ctx, RunStats &Stats,
                   Index Items, BlockFn Block,
                   const std::vector<exec::ExecEvent> &DependsOn,
@@ -449,8 +376,9 @@ private:
   GridSize Size;
   Vector3<Real> Origin; ///< live window origin, re-read every submitDeposit
   Vector3<Real> Step;
-  std::vector<Tile> Tiles;
-  std::vector<int> OwnerOfPlane; ///< x-plane -> owning tile
+  std::vector<Index> Bounds;     ///< tileCount()+1 tile plane boundaries
+  std::vector<Owners> FootprintOwners; ///< see retile()
+  std::vector<ChunkBins> Chunks; ///< BinChunks bin chunks, in particle order
 };
 
 } // namespace pic

@@ -196,12 +196,13 @@ TEST(ShardedBackendTest, DependenciesOrderAcrossShards) {
   EXPECT_EQ(OrderViolations.load(), 0)
       << "a dependent block ran before its dependency completed";
 
-  // An empty ordering-only launch (the submitJoin shape) still orders
-  // after its dependencies and completes.
+  // An empty ordering-only launch (a join) still orders after its
+  // dependencies and completes.
   KernelKeepAlive Keep;
   RunStats JoinStats;
-  const ExecEvent Join =
-      submitJoin(Backend, {}, JoinStats, {FirstEv, SecondEv}, Keep);
+  const ExecEvent Join = submitKeptLaunch(
+      Backend, {}, JoinStats, /*Items=*/0, /*GrainHint=*/0,
+      [](Index, Index, int, int) {}, {FirstEv, SecondEv}, Keep);
   Join.wait();
   EXPECT_TRUE(Join.isComplete());
 }

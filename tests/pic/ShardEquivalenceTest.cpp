@@ -8,8 +8,8 @@
 /// The sharded backend's end-to-end determinism guarantee, gated in CI
 /// as the `pic_shard_equivalence` ctest target: a PIC simulation whose
 /// stages run on persistent shards — affinity-routed per-shard push
-/// launches with first-touched arenas, per-shard deposit
-/// accumulate→reduce chains, shard-partitioned field tiles — is
+/// launches with first-touched arenas, deposit tile groups split across
+/// the shards, shard-partitioned field tiles — is
 /// *bit-identical* to the all-serial loop for every shard count x
 /// stage combination x particle layout x Maxwell solver. On top of the
 /// 100-step state hashes sit bitwise memcmp checks of the two kernels
@@ -161,7 +161,7 @@ void expectBitwiseEqual(const ScalarLattice<double> &A,
 
 TEST(ShardEquivalenceTest, DepositBitwiseMatchesSerialScatter) {
   // Random sub-cell moves spanning the periodic box, deposited through
-  // the sharded backend's per-shard accumulate→reduce chains — the J
+  // the sharded backend, which splits the tiles across its lanes — the J
   // lattices must equal the serial particle-order scatter byte for
   // byte, for every shard count x tile count.
   const GridSize Size{16, 5, 6};

@@ -39,12 +39,13 @@ namespace {
 // Accumulator-level bitwise equivalence against the serial scatter
 //===----------------------------------------------------------------------===//
 
-/// A random ensemble of sub-cell moves spanning the whole periodic box
-/// (including edge positions whose stencils wrap).
+/// A random ensemble of sub-cell moves (at most \p MaxMove cells per
+/// axis) spanning the whole periodic box (including edge positions whose
+/// stencils wrap).
 template <typename Array>
 void fillMoves(Array &Particles, std::vector<Vector3<double>> &OldPos,
                std::vector<Vector3<double>> &NewPos, const YeeGrid<double> &G,
-               Index N, unsigned Seed) {
+               Index N, unsigned Seed, double MaxMove = 0.45) {
   RandomStream<double> Rng(Seed);
   const Vector3<double> O = G.origin(), D = G.step();
   const GridSize Size = G.size();
@@ -53,9 +54,9 @@ void fillMoves(Array &Particles, std::vector<Vector3<double>> &OldPos,
         O.X + Rng.uniform(0.0, double(Size.Nx)) * D.X,
         O.Y + Rng.uniform(0.0, double(Size.Ny)) * D.Y,
         O.Z + Rng.uniform(0.0, double(Size.Nz)) * D.Z);
-    const Vector3<double> To(From.X + Rng.uniform(-0.45, 0.45) * D.X,
-                             From.Y + Rng.uniform(-0.45, 0.45) * D.Y,
-                             From.Z + Rng.uniform(-0.45, 0.45) * D.Z);
+    const Vector3<double> To(From.X + Rng.uniform(-MaxMove, MaxMove) * D.X,
+                             From.Y + Rng.uniform(-MaxMove, MaxMove) * D.Y,
+                             From.Z + Rng.uniform(-MaxMove, MaxMove) * D.Z);
     ParticleT<double> P;
     P.Position = To;
     P.Weight = Rng.uniform(0.5, 2.0);
@@ -76,22 +77,43 @@ void expectBitwiseEqual(const ScalarLattice<double> &A,
       << What;
 }
 
+/// One accumulator-vs-oracle row: N random moves on a Size grid whose
+/// window has first been shifted by ShiftPlanes planes (so the ring base
+/// is nonzero), deposited through every registered backend at every tile
+/// count in TileCounts and compared by memcmp with the serial
+/// depositCurrent* oracle (GridCurrentSink, per-write wrap).
+struct DepositRow {
+  GridSize Size{8, 5, 6};
+  Index N = 400;
+  std::vector<int> TileCounts{1, 2, 3, 5, 8, 64};
+  Index ShiftPlanes = 0;
+  double MaxMove = 0.45;
+  unsigned Seed = 17;
+};
+
 template <typename Array>
-void checkAccumulatorAgainstSerial(bool ChargeConserving) {
-  const GridSize Size{8, 5, 6};
+void checkAccumulatorAgainstSerial(bool ChargeConserving,
+                                   const DepositRow &Row = {}) {
+  const GridSize Size = Row.Size;
+  const Index N = Row.N, ShiftPlanes = Row.ShiftPlanes;
   const Vector3<double> Origin(-2.0, 1.0, 0.0), Step(0.5, 1.0, 0.8);
-  const Index N = 400;
   const double Dt = 0.31;
+  auto MakeGrid = [&] {
+    YeeGrid<double> G(Size, Origin, Step);
+    if (ShiftPlanes > 0)
+      G.shiftWindow(ShiftPlanes);
+    return G;
+  };
 
   Array Particles(N);
   std::vector<Vector3<double>> OldPos, NewPos;
-  YeeGrid<double> Probe(Size, Origin, Step); // geometry donor for fillMoves
-  fillMoves(Particles, OldPos, NewPos, Probe, N, 17);
+  fillMoves(Particles, OldPos, NewPos, MakeGrid(), N, Row.Seed,
+            Row.MaxMove);
   auto Types = ParticleTypeTable<double>::natural();
   auto View = Particles.view();
 
   // Serial reference: the classic particle-order scatter.
-  YeeGrid<double> Ref(Size, Origin, Step);
+  YeeGrid<double> Ref = MakeGrid();
   for (Index I = 0; I < N; ++I) {
     const double Q = Types[View[I].type()].Charge * View[I].weight();
     if (ChargeConserving) {
@@ -108,13 +130,17 @@ void checkAccumulatorAgainstSerial(bool ChargeConserving) {
     ASSERT_NE(Backend, nullptr) << Name;
     exec::ExecutionContext Ctx;
     Ctx.Queue = &Queue;
-    for (int Tiles : {1, 2, 3, 5, 8, 64}) {
+    for (int Tiles : Row.TileCounts) {
       TiledCurrentAccumulator<double> Accumulator(Size, Origin, Step, Tiles);
-      YeeGrid<double> G(Size, Origin, Step);
+      YeeGrid<double> G = MakeGrid();
       RunStats Stats;
       Accumulator.deposit(G, View, OldPos.data(), NewPos.data(), Types.data(),
                           Dt, ChargeConserving, *Backend, Ctx, Stats);
-      SCOPED_TRACE("backend=" + Name + " tiles=" +
+      SCOPED_TRACE("backend=" + Name + " grid=" + std::to_string(Size.Nx) +
+                   "x" + std::to_string(Size.Ny) + "x" +
+                   std::to_string(Size.Nz) + " N=" + std::to_string(N) +
+                   " shift=" + std::to_string(ShiftPlanes) + " seed=" +
+                   std::to_string(Row.Seed) + " tiles=" +
                    std::to_string(Accumulator.tileCount()));
       expectBitwiseEqual(G.Jx, Ref.Jx, "Jx");
       expectBitwiseEqual(G.Jy, Ref.Jy, "Jy");
@@ -137,6 +163,54 @@ TEST(TiledDepositionTest, DirectSchemeBitwiseMatchesSerialAoS) {
 
 TEST(TiledDepositionTest, DirectSchemeBitwiseMatchesSerialSoA) {
   checkAccumulatorAgainstSerial<ParticleArraySoA<double>>(false);
+}
+
+/// Grids with Ny or Nz in {1, 2} (and Nx in {1, 2}) fold several stencil
+/// nodes of one particle onto the same J node, so these rows pin the
+/// sink's write order: only the kernel's own order reproduces the
+/// oracle's fold. Near-cell moves make most particles cross nodes, so the
+/// aliased adds are nonzero, and three seeds per grid keep a reordered
+/// write sequence from slipping through on rounding luck.
+TEST(TiledDepositionTest, AliasingGridsBitwiseMatchSerial) {
+  const std::vector<GridSize> Grids = {{8, 1, 6}, {8, 2, 6}, {8, 5, 1},
+                                       {8, 5, 2}, {8, 1, 2}, {2, 2, 2},
+                                       {1, 2, 3}, {1, 1, 1}};
+  for (bool CC : {true, false})
+    for (const GridSize &Size : Grids)
+      for (unsigned Seed : {17u, 18u, 19u}) {
+        DepositRow Row;
+        Row.Size = Size;
+        Row.N = 300;
+        Row.TileCounts = {1, 2, 3, int(Size.Nx)};
+        Row.MaxMove = 0.95;
+        Row.Seed = Seed;
+        checkAccumulatorAgainstSerial<ParticleArrayAoS<double>>(CC, Row);
+      }
+}
+
+/// A window-shifted grid: the owned logical planes ring-map onto physical
+/// storage with a nonzero base (3, and 13 = one wrap past 8 planes).
+TEST(TiledDepositionTest, WindowShiftedGridBitwiseMatchesSerial) {
+  for (bool CC : {true, false})
+    for (Index Shift : {3, 13}) {
+      DepositRow Row;
+      Row.TileCounts = {1, 2, 3, 8};
+      Row.ShiftPlanes = Shift;
+      checkAccumulatorAgainstSerial<ParticleArraySoA<double>>(CC, Row);
+    }
+}
+
+/// Empty ensembles and ensembles smaller than the bin chunk count leave
+/// most chunks empty.
+TEST(TiledDepositionTest, TinyEnsemblesBitwiseMatchSerial) {
+  ASSERT_GT(TiledCurrentAccumulator<double>::BinChunks, 5);
+  for (bool CC : {true, false})
+    for (Index N : {0, 1, 5}) {
+      DepositRow Row;
+      Row.N = N;
+      Row.TileCounts = {1, 2, 3, 8};
+      checkAccumulatorAgainstSerial<ParticleArrayAoS<double>>(CC, Row);
+    }
 }
 
 TEST(TiledDepositionTest, TileCountClampsToPlaneCount) {
@@ -203,7 +277,7 @@ TEST(TiledDepositionTest, SimulationHashInvariantAcrossBackendsAndTiles) {
   EXPECT_EQ(simulationHash<ParticleArrayAoS<double>>("dpcpp", 5, 3, true, 30),
             Reference);
   // Shard axis: the sharded backend splits the deposit into per-shard
-  // accumulate→reduce chains (threads = shard count); every shard count
+  // accumulate launches (threads = shard count); every shard count
   // must reproduce the same bits — including 13 shards over 5 tiles.
   for (int Shards : {1, 2, 5, 13})
     EXPECT_EQ(simulationHash<ParticleArrayAoS<double>>("sharded", 5, Shards,
@@ -309,7 +383,7 @@ TEST(TiledDepositionTest, SimulationHashInvariantForShardedPushSoA) {
 /// halo-exchanged FDTD launches and the k-space-parallel spectral
 /// launches must reproduce the all-serial loop bit-for-bit for every
 /// backend x tile count — including asynchronous field backends, where
-/// the solve event-chains against the deposit reduction.
+/// the solve event-chains against the deposit.
 template <typename Array>
 std::uint64_t fieldSimulationHash(FieldSolverKind Solver,
                                   const std::string &FieldBackend,
@@ -391,7 +465,7 @@ TEST(TiledDepositionTest, SimulationHashInvariantAcrossFieldBackendsSoA) {
 
 TEST(TiledDepositionTest, SimulationHashInvariantForAsyncFieldChain) {
   // The asynchronous field path: the solve's launches event-chain
-  // against the deposit reduction (the first FDTD half-step may overlap
+  // against the deposit (the first FDTD half-step may overlap
   // it) — and the bits still cannot move, for any shard count x tile
   // count x solver, including the fully asynchronous loop where all
   // three stages run on sharded backends.

@@ -125,8 +125,11 @@ TEST(ServeTest, CancellationMidRunLeavesPoolReusable) {
   Config.StateDir = StateDir;
   Scheduler Sched(Pool, Config);
 
-  // A job big enough that cancellation lands mid-run on any host.
-  Sched.enqueue(smallJob("victim", /*Steps=*/600, /*Nx=*/32));
+  // A job big enough that cancellation lands mid-run on any host (600
+  // steps could finish inside the 50 ms on a fast host; uncancelled,
+  // this one runs for seconds).
+  const int VictimSteps = 12000;
+  Sched.enqueue(smallJob("victim", VictimSteps, /*Nx=*/32));
   Sched.enqueue(smallJob("bystander", /*Steps=*/8));
 
   std::thread Runner([&] { Sched.run(); });
@@ -137,7 +140,7 @@ TEST(ServeTest, CancellationMidRunLeavesPoolReusable) {
 
   const auto Results = resultsByName(Sched);
   EXPECT_EQ(Results.at("victim").State, JobState::Cancelled);
-  EXPECT_LT(Results.at("victim").StepsDone, 600);
+  EXPECT_LT(Results.at("victim").StepsDone, VictimSteps);
   EXPECT_EQ(Results.at("bystander").State, JobState::Completed);
   EXPECT_EQ(Results.at("bystander").Hash,
             runStandalone(smallJob("bystander", 8)));
