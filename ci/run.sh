@@ -1,10 +1,45 @@
 #!/usr/bin/env bash
 # CI entry point: Release build, full test suite, and a smoke benchmark
 # pass at tiny sizes whose JSON records land in results/ as artifacts.
+#
+# sample usage:
+#
+#   bash ./ci/run.sh
+#
+#   # sanitizer variants: only the threaded targets, in their own build
+#   HICHI_SANITIZE=thread bash ./ci/run.sh
+#   HICHI_SANITIZE=address,undefined bash ./ci/run.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS="$(nproc 2>/dev/null || echo 2)"
+
+# A sanitizer variant builds into build-sanitize-<kinds>/ with the
+# sanitizer flags in CMAKE_CXX_FLAGS and runs the targets that exercise
+# the threaded parts — the exec backends, the thread pool, the serve
+# scheduler and registry, and the PIC shard, graph and window
+# equivalences — then stops: it is a separate CI job, not a prefix of
+# the Release one. Compiler runtimes only, nothing to download.
+if [ -n "${HICHI_SANITIZE:-}" ]; then
+  case "$HICHI_SANITIZE" in
+    thread | address,undefined) ;;
+    *)
+      echo "ci/run.sh: HICHI_SANITIZE must be 'thread' or" \
+           "'address,undefined', not '$HICHI_SANITIZE'" >&2
+      exit 1
+      ;;
+  esac
+  SAN_DIR="build-sanitize-${HICHI_SANITIZE//,/-}"
+  cmake -B "$SAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS="-fsanitize=$HICHI_SANITIZE -fno-omit-frame-pointer -fno-sanitize-recover=all"
+  cmake --build "$SAN_DIR" -j"$JOBS" --target hichi_exec_tests \
+    hichi_threading_tests hichi_serve_tests hichi_pic_tests
+  TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
+    ctest --test-dir "$SAN_DIR" --output-on-failure -j"$JOBS" \
+    -R '^(exec|threading|serve|pic_shard_equivalence|pic_graph_equivalence|pic_window_equivalence)$'
+  echo "ci/run.sh: $HICHI_SANITIZE sanitizer targets green"
+  exit 0
+fi
 
 cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build -j"$JOBS"
@@ -25,7 +60,8 @@ run_smoke_benches() {
   # themselves if any configuration's state hash deviates from the
   # serial reference. bench_pic_async runs the step-graph
   # resubmit-vs-replay sweep on the sharded backend (stage "submit") and
-  # fails unless replay is strictly cheaper to issue at the smallest grid.
+  # fails unless, at the smallest grid, replay issues fewer launches per
+  # step and has the lower median step wall.
   HICHI_BENCH_JSON=results/BENCH_scheduling.json \
     ./build/bench_ablation_scheduling
   HICHI_BENCH_JSON=results/BENCH_pic_deposit.json ./build/bench_pic_deposit
@@ -100,8 +136,8 @@ echo "runner equivalence: OK (all state hashes identical)"
 
 # The full PIC loop must agree bitwise across push/deposit backends and
 # tile counts (the tiled-deposition determinism guarantee), including
-# the sharded push path (per-shard precalc/push launch pairs) at several
-# shard counts.
+# the sharded push path (stage 1 split into one block per shard) at
+# several shard counts.
 PIC_HASHES="$(
   for B in serial openmp dpcpp dpcpp-numa sharded; do
     ./build/pic_langmuir --steps 40 --push-backend "$B" \

@@ -27,13 +27,14 @@
 ///
 ///   2. **Measured hill-climb** — refine() takes the seed plan and a
 ///      caller-supplied trial runner (measured ns for a candidate plan,
-///      e.g. a short PicSimulation run reading depositStats() /
-///      fieldStats() / submitOverhead()) and coordinate-descends the
-///      thread counts and the graph toggle within a bounded trial
-///      budget. Every knob it moves is hash-invariant (the repo's
-///      cross-backend bit-equality guarantee), so a tuned run's state
-///      hash still equals the serial reference — ci/run.sh gates on
-///      exactly that for `pic_langmuir --tune`.
+///      e.g. a short PicSimulation run reading stepWallNs(), which
+///      charges classic and graph-mode steps alike) and
+///      coordinate-descends the thread counts and the graph toggle
+///      within a bounded trial budget. Every knob it moves is
+///      hash-invariant (the repo's cross-backend bit-equality
+///      guarantee), so a tuned run's state hash still equals the serial
+///      reference — ci/run.sh gates on exactly that for
+///      `pic_langmuir --tune`.
 ///
 /// The host's own profile resolves through hostProfile():
 /// HICHI_MACHINE_PROFILE names a profile JSON (e.g. the bench_calibrate

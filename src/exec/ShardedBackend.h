@@ -12,20 +12,15 @@
 ///     like the thread pool's workers) draining
 ///   * a FIFO lane — a threading::InOrderWorkQueue, so everything
 ///     routed to one shard executes in submission order without any
-///     cross-shard synchronization, and
-///   * a first-touched arena — an aligned buffer whose pages are
-///     touched by the owning worker before any kernel uses them, so
-///     under Linux's first-touch policy the shard's staging data lands
-///     in the worker's NUMA domain (the paper's Section 4.3 arena idea
-///     carried from per-launch scheduling to persistent residency).
+///     cross-shard synchronization.
 ///
-/// This is the paper's data-locality thesis taken one step further than
-/// the per-launch NUMA split of dpcpp-numa: work does not merely *run*
-/// inside a domain for one launch — the same shard processes the same
-/// item slice every step, keeping its pages, its queue and its arena
-/// resident. It is also the stepping stone to multi-process/multi-node
-/// execution: a shard's lane + arena is exactly the seam a process
-/// boundary would cut along.
+/// This is the paper's data-locality thesis (Section 4.3's arenas)
+/// taken one step further than the per-launch NUMA split of dpcpp-numa:
+/// work does not merely *run* inside a domain for one launch — the same
+/// shard processes the same item slice every step, on the same worker,
+/// so the slice's working set stays with one core. It is also the
+/// stepping stone to multi-process/multi-node execution: a shard's lane
+/// is exactly the seam a process boundary would cut along.
 ///
 /// Submission model (genuinely asynchronous — submit() returns before
 /// execution):
@@ -107,20 +102,16 @@ inline double shardOccupancy(const std::vector<ShardStat> &Stats,
   return Stats[S].BusyNs / Max;
 }
 
-/// The shard-resource surface drivers program against when they route
-/// per-shard work: arenas, occupancy counters, counter resets. The
-/// concrete ShardedBackend implements it over its own lanes; the serve
-/// layer's pool-client backend (serve/BackendPool.h) implements it over
-/// a *leased slice* of a shared pool's lanes — so PicSimulation's
-/// sharded stage-1 path, rebalancer stat windows and shard diagnostics
-/// work unchanged whether the backend owns its shards or borrows them.
+/// The shard-resource surface drivers read when they watch per-shard
+/// work: occupancy counters and counter resets. The concrete
+/// ShardedBackend implements it over its own lanes; the serve layer's
+/// pool-client backend (serve/BackendPool.h) implements it over a
+/// *leased slice* of a shared pool's lanes — so PicSimulation's
+/// rebalancer stat windows and shard diagnostics work unchanged whether
+/// the backend owns its shards or borrows them.
 class ShardResources {
 public:
   virtual ~ShardResources() = default;
-
-  /// Shard \p Shard's arena, grown to at least \p Bytes (see
-  /// ShardedBackend::shardArena for the lifetime/placement contract).
-  virtual void *shardArena(int Shard, std::size_t Bytes) = 0;
 
   /// Snapshot of the shards' lifetime counters, in shard order.
   virtual std::vector<ShardStat> shardStats() const = 0;
@@ -147,20 +138,8 @@ public:
   int shardCount() const override { return int(Shards.size()); }
 
   /// Blocks until every launch submitted so far has completed on every
-  /// shard, then releases retired arena buffers. Host-side only (the
-  /// destructor drains implicitly).
+  /// shard. Host-side only (the destructor drains implicitly).
   void drain();
-
-  /// \returns shard \p Shard's arena, grown to at least \p Bytes
-  /// (cache-line aligned; geometric growth, so the pointer is stable
-  /// until a larger request). On growth the new buffer is first-touched
-  /// by the owning worker *before* any later-submitted task on that
-  /// shard runs (FIFO order); a replaced buffer stays alive until the
-  /// next drain(), so launches still in flight keep a valid pointer.
-  /// Call from one host thread per shard at a time (distinct shards may
-  /// be driven by distinct threads — the serve layer leases disjoint
-  /// lane sets to concurrent scheduler workers).
-  void *shardArena(int Shard, std::size_t Bytes) override;
 
   /// Snapshot of every shard's lifetime counters, in shard order.
   std::vector<ShardStat> shardStats() const override;
@@ -187,7 +166,7 @@ public:
   /// pool-client backend (serve/BackendPool.h) forwards its whole
   /// submission stream through its leased slice, keeping concurrent
   /// jobs' kernels, ordering chains and latency isolated per lane set
-  /// while sharing the pool's persistent workers and arenas.
+  /// while sharing the pool's persistent workers.
   /// submitImpl() is exactly the full-width slice [0, shardCount()).
   ExecEvent submitSlice(const LaunchSpec &Spec, const StepKernel &Kernel,
                         RunStats &Stats, int LaneBegin, int LaneCount);
@@ -202,17 +181,14 @@ private:
   /// count-down of blocks still outstanding (the last block signals).
   struct Task {
     std::function<void()> Run;
-    ExecEvent Done; ///< default-constructed for internal (arena) tasks
+    ExecEvent Done;
     std::shared_ptr<std::atomic<int>> Remaining; ///< null = sole block
   };
 
   struct Shard {
     std::unique_ptr<threading::InOrderWorkQueue<Task>> Lane;
-    void *ArenaData = nullptr;
-    std::size_t ArenaBytes = 0;
-    std::vector<void *> RetiredArenas; ///< freed at the next drain
-    ShardStat Stats;                   ///< guarded by StatsMutex
-    bool WorkerBound = false;          ///< lane-thread-local pin flag
+    ShardStat Stats;          ///< guarded by StatsMutex
+    bool WorkerBound = false; ///< lane-thread-local pin flag
   };
 
   /// Enqueues one block [Begin, End) of \p Spec on shard \p S.

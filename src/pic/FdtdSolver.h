@@ -238,7 +238,7 @@ public:
   /// overlap the deposit); the trailing B launch waits the E launch.
   /// \returns the trailing launch's event. Wait it (and only then read
   /// \p Stats or drop \p Keep) before touching the fields. \p After
-  /// gates the first half-step: the PIC step passes its wrap event
+  /// gates the first half-step: the PIC step passes its stage-1 events
   /// there — the B advance writes fields the push stage's interpolation
   /// reads, and on asynchronous backends or under replay only the event
   /// edges order the two. Callers that waited the push leave it empty.

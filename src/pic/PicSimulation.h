@@ -14,31 +14,32 @@
 ///   4. advance Maxwell's equations (FDTD on the Yee grid, or the
 ///      spectral solver),
 ///
-/// with periodic boundaries for particles and fields. Stages 1+2 run as
-/// one independent-particle kernel, stage 3 as a tiled read-modify-write
-/// kernel, and stage 4 as x-slab halo-exchange tiles (FDTD) or k-space
-/// line/row launches (spectral) — each stage on its own configurable
-/// execution backend (PicOptions::PushBackend / DepositBackend /
-/// FieldBackend) — see docs/ARCHITECTURE.md for the full
-/// stage-to-backend map. This is the substrate the standalone pusher
-/// benchmarks carve their kernel out of.
+/// with periodic boundaries for particles and fields. Stages 1+2 and the
+/// position wrap run as one independent-particle kernel that resolves
+/// each particle's interpolation stencil once (FieldInterpolator.h),
+/// stage 3 as a tiled read-modify-write kernel, and stage 4 as x-slab
+/// halo-exchange tiles (FDTD) or k-space line/row launches (spectral) —
+/// each stage on its own configurable execution backend
+/// (PicOptions::PushBackend / DepositBackend / FieldBackend) — see
+/// docs/ARCHITECTURE.md for the full stage-to-backend map. This is the
+/// substrate the standalone pusher benchmarks carve their kernel out of.
 ///
-/// One function, issueStep(), writes the step: the J clear, stage 1, the
-/// position wrap, the deposit chain (bin -> accumulate) and the field
-/// chain, every one of them a backend launch ordered by event
+/// One function, issueStep(), writes the step: stage 1 (gather + push +
+/// wrap), the J clear, the deposit chain (bin -> accumulate) and the
+/// field chain, every one of them a backend launch ordered by event
 /// dependencies rather than by host waits. A classic step issues that
 /// sequence straight through the stage backends; a graph-mode step
 /// issues the very same sequence through GraphCapture wrappers once and
 /// replays the recorded DAG afterwards (exec/StepGraph.h). The field
 /// chain waits the deposit only at the first launch that reads J (the
 /// FDTD E advance / the spectral gather), so on asynchronous backends
-/// the first FDTD half-step overlaps the deposit — while the chain keeps the per-node operation order, and
-/// hence the state hash, bit-identical to the all-serial loop.
+/// the first FDTD half-step overlaps the deposit — while the chain keeps
+/// the per-node operation order, and hence the state hash, bit-identical
+/// to the all-serial loop.
 ///
-/// On a sharded push backend stage 1 runs per shard: each shard samples
-/// the fields of its particle slice into its own first-touched arena
-/// and pushes them on its own lane (same per-particle operation
-/// sequence as the fused kernel, hence the same bits).
+/// On a sharded push backend the stage-1 launch splits into one particle
+/// slice per shard lane, as any plain launch does (occupancy-weighted
+/// slices after a fired rebalance).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -126,8 +127,8 @@ template <typename Real> struct PicOptions {
 
   /// Execution backend (exec registry name) for the interpolate+push
   /// stage. Particles are independent during the push, so any registered
-  /// backend gives bit-identical results. The sharded backend runs the
-  /// stage as per-shard precalc/push launch pairs.
+  /// backend gives bit-identical results. The sharded backend splits the
+  /// stage into one particle slice per shard lane.
   std::string PushBackend = "serial";
 
   /// Worker threads for the push stage; 0 means all (for "sharded": the
@@ -165,7 +166,7 @@ template <typename Real> struct PicOptions {
   /// 0 = auto (1 for the serial backend, else two per worker).
   int FieldTiles = 0;
 
-  /// Capture the five-stage step's launch DAG on the first step and
+  /// Capture the four-stage step's launch DAG on the first step and
   /// *replay* it on every later one (exec/StepGraph.h): specs, kernel
   /// bodies and dependency edges are resolved once, and each replayed
   /// step only rebinds the step index and simulation time through the
@@ -365,30 +366,31 @@ public:
   }
 
 private:
-  /// The one five-stage step sequence, issued through \p PushX,
+  /// The one four-stage step sequence, issued through \p PushX,
   /// \p DepositX and \p FieldX: the stage backends themselves on a
   /// classic step, or their GraphCapture wrappers on a capture step
   /// (which records exactly these launches). In issue order:
   ///
-  ///   1. the J clear, a one-item node the deposit chain waits;
-  ///   2. stage 1, interpolate + push (fused, or per-shard pairs);
-  ///   3. the position wrap, gated on every push launch — it keeps the
-  ///      unwrapped endpoint aside, since the deposition needs the
-  ///      physical displacement;
-  ///   4. the deposit chain (bin -> accumulate) gated on
-  ///      {Wrapped, Cleared}, bit-identical to the serial particle-order
-  ///      scatter (TiledCurrentAccumulator.h);
-  ///   5. the field chain, gated on the deposit at the first launch
-  ///      that reads J, and for FDTD also on the wrap: advanceB writes
+  ///   1. stage 1, gather + push + wrap in one particle pass (one
+  ///      launch; one per shard after a rebalance), keeping the old and
+  ///      the unwrapped new positions aside, since the deposition needs
+  ///      the physical displacement;
+  ///   2. the J clear, a launch over the Nx x-planes the deposit chain
+  ///      waits;
+  ///   3. the deposit chain (bin -> accumulate) gated on the stage-1
+  ///      launches and the clear, bit-identical to the serial
+  ///      particle-order scatter (TiledCurrentAccumulator.h);
+  ///   4. the field chain, gated on the deposit at the first launch
+  ///      that reads J, and for FDTD also on stage 1: advanceB writes
   ///      the B lattice stage 1 reads, and under replay no host wait
   ///      orders the two (the spectral gather is ordered through the
   ///      deposit already).
   ///
   /// Every stage is a launch, so a classic step's launch ledger equals
   /// the captured graph's node count. Everything is waited on return.
-  /// \p TimeStages accumulates the deposit and field stage walls (the
-  /// classic step's per-stage attribution; a capture step is timed as a
-  /// whole by its caller).
+  /// \p TimeStages accumulates the push, deposit and field stage walls
+  /// (the classic step's per-stage attribution; a capture step is timed
+  /// as a whole by its caller).
   void issueStep(exec::ExecutionBackend &PushX,
                  exec::ExecutionBackend &DepositX,
                  exec::ExecutionBackend &FieldX, bool TimeStages) {
@@ -402,28 +404,30 @@ private:
     Vector3<Real> *NewPos = NewPositions.data();
     const exec::ExecutionContext Ctx = context();
 
-    const exec::ExecEvent Cleared = submitStageKernel(
-        DepositX, ClearCurrentBody{&Grid}, 1, {}, DepositLaunchStats, Ctx);
-
-    // Stage 1. Old positions are kept aside for the deposition.
-    std::vector<exec::ExecEvent> Pushed;
-    if (PushSharded() && N > 0)
-      Pushed = shardedInterpPush(PushX, View, OldPos, TypesPtr, Dt, N, Ctx);
-    else
-      Pushed.push_back(submitStageKernel(
-          PushX,
-          FusedPushBody{View, YeeInterpolator<Real>(Grid), OldPos, TypesPtr,
-                        Dt, Options.LightVelocity, &StepParams},
-          N, {}, PushTiming, Ctx));
-
-    const exec::ExecEvent Wrapped = submitStageKernel(
-        PushX, WrapBody{View, NewPos, &Grid}, N, std::move(Pushed),
-        PushTiming, Ctx);
-
     Stopwatch Watch;
+    const std::vector<exec::ExecEvent> Pushed = submitStage1(
+        PushX,
+        FusedPushBody{View, YeeInterpolator<Real>(Grid), &Grid, OldPos,
+                      NewPos, TypesPtr, 0, Dt, Options.LightVelocity,
+                      &StepParams},
+        N, Ctx);
+    if (TimeStages) {
+      for (const exec::ExecEvent &Ev : Pushed)
+        Ev.wait();
+      addWall(PushTiming, Watch);
+    }
+
+    // The J clear is off stage 1's critical path, so it is issued after
+    // it: stage 1's lanes start first, and under replay the clear runs
+    // while stage 1 is still in flight.
+    Watch.reset();
+    std::vector<exec::ExecEvent> DepositAfter = Pushed;
+    DepositAfter.push_back(
+        submitStageKernel(DepositX, ClearCurrentBody{&Grid}, Grid.size().Nx,
+                          {}, DepositLaunchStats, Ctx));
     const exec::ExecEvent JReady = Accumulator->submitDeposit(
         Grid, View, OldPos, NewPos, TypesPtr, Dt, Options.ChargeConserving,
-        DepositX, Ctx, DepositLaunchStats, ChainCache, {Wrapped, Cleared});
+        DepositX, Ctx, DepositLaunchStats, ChainCache, DepositAfter);
     if (!FieldX.isAsynchronous())
       JReady.wait(); // keep the serial stage-wall attribution exact
     if (TimeStages)
@@ -437,7 +441,7 @@ private:
                                         FieldLaunchStats, JReady, ChainCache)
                  : Solver.submitStep(Grid, Dt, *FieldPartition, FieldX, Ctx,
                                      FieldLaunchStats, JReady, ChainCache,
-                                     {Wrapped});
+                                     Pushed);
     FieldsDone.wait();
     JReady.wait(); // retire the deposit launches' stats publication too
     if (TimeStages)
@@ -751,7 +755,8 @@ public:
   /// k-space chunks per launch for the spectral solver).
   int fieldTileCount() const { return FieldTileCount; }
 
-  /// Accumulated timing of the push stage across all steps so far.
+  /// Accumulated wall time of stage 1 (gather + push + wrap) across all
+  /// classic steps so far.
   const RunStats &pushStats() const { return PushTiming; }
 
   /// Accumulated wall time of the deposit stage (binning + accumulate;
@@ -764,10 +769,9 @@ public:
   /// deposit tail).
   const RunStats &fieldStats() const { return FieldTiming; }
 
-  /// Per-launch ledgers of the stage-1 precalc/push kernels (the
-  /// sharded shape; all zeros when stage 1 runs fused).
-  const RunStats &precalcKernelStats() const { return PrecalcKernelTiming; }
-  const RunStats &pushKernelStats() const { return PushKernelTiming; }
+  /// Per-launch ledger of stage 1 (one launch per step, or one per
+  /// shard block on a sharded push backend after a fired rebalance).
+  const RunStats &pushLaunchStats() const { return PushLaunchStats; }
 
   /// Per-launch ledger of the deposit chain (clear + bin + accumulate):
   /// launches, specs built and submit-overhead nanoseconds.
@@ -779,6 +783,14 @@ public:
   /// Wall time of graph-mode steps (the capture step and every replay);
   /// zeros unless PicOptions::UseStepGraph.
   const RunStats &graphStats() const { return GraphTiming; }
+
+  /// Wall nanoseconds of all steps so far, whichever way each ran: the
+  /// classic steps' three stage walls plus the graph-mode step walls
+  /// (the host epilogue aside). Comparable across step modes.
+  double stepWallNs() const {
+    return PushTiming.HostNs + DepositTiming.HostNs + FieldTiming.HostNs +
+           GraphTiming.HostNs;
+  }
 
   /// True when steps run through the captured step graph.
   bool usesStepGraph() const { return Options.UseStepGraph; }
@@ -794,8 +806,7 @@ public:
   const exec::StepGraph *stepGraph() const { return Graph.get(); }
 
   /// Submit-overhead totals across every per-launch ledger the step
-  /// touches (stage-1 push/precalc/push-kernel stats, which also carry
-  /// the wrap, plus the deposit chain with the J clear and the field
+  /// touches (stage 1, the deposit chain with the J clear, and the field
   /// chain): launches submitted, specs constructed, and wall
   /// nanoseconds inside submit() outside kernel bodies. Timing fields
   /// are left zero — this is the launch-bookkeeping view, not a wall
@@ -803,8 +814,7 @@ public:
   RunStats submitOverhead() const {
     RunStats Total;
     for (const RunStats *S :
-         {&PushTiming, &PrecalcKernelTiming, &PushKernelTiming,
-          &DepositLaunchStats, &FieldLaunchStats}) {
+         {&PushLaunchStats, &DepositLaunchStats, &FieldLaunchStats}) {
       Total.Launches += S->Launches;
       Total.SpecsBuilt += S->SpecsBuilt;
       Total.SubmitNs += S->SubmitNs;
@@ -882,97 +892,47 @@ public:
 private:
   using ViewT = decltype(std::declval<Array &>().view());
 
-  /// The precalc half of the sharded stage 1: samples the grid fields at
-  /// every particle of one shard's slice into the shard's arena,
-  /// stashing the unwrapped old position — exactly the reads the fused
-  /// kernel does, in the same per-particle order.
-  struct PrecalcBody {
-    ViewT View;
-    YeeInterpolator<Real> Interp;
-    Vector3<Real> *OldPos;
-    FieldSample<Real> *Samples;
-    Index Offset;
-    const exec::ParamBlock *Params; ///< Scalars[0] = simulation time
-
-    void operator()(Index Begin, Index End, int, int) const {
-      const Real Time = Real(Params->Scalars[0]);
-      for (Index I = Begin; I < End; ++I) {
-        auto P = View[Offset + I];
-        const Vector3<Real> Pos = P.position();
-        OldPos[Offset + I] = Pos;
-        Samples[I] = Interp(Pos, Time, Offset + I);
-      }
-    }
-  };
-
-  /// The push half: consumes the slice's samples. The value round-trip
-  /// through the arena is bitwise exact, so the Boris update equals the
-  /// fused kernel's.
-  struct SampledPushBody {
-    ViewT View;
-    const FieldSample<Real> *Samples;
-    const ParticleTypeInfo<Real> *Types;
-    Index Offset;
-    Real Dt, C;
-
-    void operator()(Index Begin, Index End, int, int) const {
-      for (Index I = Begin; I < End; ++I) {
-        auto P = View[Offset + I];
-        BorisPusher::push<Real>(P, Samples[I], Types, Dt, C);
-      }
-    }
-  };
-
-  /// The fused interpolate+push kernel of the unsharded stage 1 — a
-  /// named body (not a step()-local lambda) so it can live in the
-  /// reusable kernel cache across steps and a captured graph can keep
-  /// pointing at it; the per-step simulation time flows in through the
-  /// ParamBlock.
+  /// Stage 1, one pass per particle: stashes the old position, gathers
+  /// the fields there, pushes, stores the unwrapped endpoint and wraps it
+  /// into the box. Particles are independent, so any partition of the
+  /// items is bit-identical. A named body (not a step()-local lambda) so
+  /// it can live in the reusable kernel cache across steps and a captured
+  /// graph can keep pointing at it; the per-step simulation time flows in
+  /// through the ParamBlock. Item I is particle Offset + I.
   struct FusedPushBody {
     ViewT View;
     YeeInterpolator<Real> Interp;
+    const YeeGrid<Real> *Grid;
     Vector3<Real> *OldPos;
+    Vector3<Real> *NewPos;
     const ParticleTypeInfo<Real> *Types;
+    Index Offset;
     Real Dt, C;
     const exec::ParamBlock *Params; ///< Scalars[0] = simulation time
 
     void operator()(Index Begin, Index End, int, int) const {
       const Real Time = Real(Params->Scalars[0]);
-      for (Index I = Begin; I < End; ++I) {
+      for (Index I = Offset + Begin; I < Offset + End; ++I) {
         auto P = View[I];
         const Vector3<Real> Pos = P.position();
         OldPos[I] = Pos;
-        const FieldSample<Real> F = Interp(Pos, Time, I);
-        BorisPusher::push<Real>(P, F, Types, Dt, C);
+        BorisPusher::push<Real>(P, Interp(Pos, Time, I), Types, Dt, C);
+        const Vector3<Real> Moved = P.position();
+        NewPos[I] = Moved;
+        P.setPosition(Grid->wrapPosition(Moved));
       }
     }
   };
 
-  /// The position wrap: writes each particle's unwrapped endpoint and
-  /// wraps it into the box. Per-particle independent, so any partition
-  /// is bit-identical.
-  struct WrapBody {
-    ViewT View;
-    Vector3<Real> *NewPos;
-    YeeGrid<Real> *Grid;
-
-    void operator()(Index Begin, Index End, int, int) const {
-      for (Index I = Begin; I < End; ++I) {
-        auto P = View[I];
-        const Vector3<Real> Pos = P.position();
-        NewPos[I] = Pos;
-        P.setPosition(Grid->wrapPosition(Pos));
-      }
-    }
-  };
-
-  /// Grid.clearCurrent() as a one-item kernel: the J clear is a node
-  /// ordered before the deposit chain, not a host call, so replay needs
-  /// no host ordering.
+  /// The J clear as a launch over the Nx x-planes, so backends split it
+  /// like any launch; a node ordered before the deposit chain, not a host
+  /// call, so replay needs no host ordering.
   struct ClearCurrentBody {
     YeeGrid<Real> *Grid;
 
-    void operator()(Index, Index, int, int) const { Grid->clearCurrent(); }
+    void operator()(Index Begin, Index End, int, int) const {
+      Grid->clearCurrent(Begin, End);
+    }
   };
 
   /// Submits \p Body over \p Items items of this step through \p Exec
@@ -999,80 +959,38 @@ private:
         Stats);
   }
 
-  /// The push backend's shard-resource surface, or nullptr when the
-  /// backend is not sharded. (shardCount() is the cheap capability
-  /// query; the interface is needed for the per-shard arenas — the
-  /// concrete type may be a ShardedBackend or the serve layer's
-  /// pool-client lease over one.)
-  exec::ShardResources *PushSharded() const {
-    return Backend->shardCount() > 0
-               ? dynamic_cast<exec::ShardResources *>(Backend.get())
-               : nullptr;
-  }
+  /// Submits stage 1 through \p Exec: one launch of \p Body over all
+  /// \p N particles, which a sharded push backend splits into one slab
+  /// block per lane like any plain launch. After a fired rebalance the
+  /// even split gives way to the occupancy-weighted one: PushFractions
+  /// (cumulative occupancy at the weighted plane boundaries) rescaled by
+  /// the current N, one launch per shard block, offset to the block's
+  /// particles and routed to its lane by affinity. Particles are
+  /// independent, so either split changes balance, never bits
+  /// (tests/pic/ShardEquivalenceTest.cpp, RebalanceEquivalenceTest.cpp).
+  /// \returns the launches' events.
+  std::vector<exec::ExecEvent> submitStage1(exec::ExecutionBackend &Exec,
+                                            FusedPushBody Body, Index N,
+                                            const exec::ExecutionContext &Ctx) {
+    const Index Shards = Index(Backend->shardCount());
+    const Index Blocks = Index(PushFractions.size()) - 1;
+    if (Shards == 0 || N == 0 || Blocks != exec::clampSlabCount(N, Shards))
+      return {submitStageKernel(Exec, Body, N, {}, PushLaunchStats, Ctx)};
 
-  /// Stage 1 on the sharded backend: the ensemble splits once into the
-  /// backend's persistent shards (the shared slab partition, so shard s
-  /// owns the same particle slice every step). Each shard runs a
-  /// precalc launch (field samples into the shard's first-touched
-  /// arena, old positions stashed) chained to a push launch consuming
-  /// them, both routed to the shard's lane by affinity — so shards
-  /// proceed independently, with no cross-shard barrier until the final
-  /// wait. The sample-buffer round-trip is bitwise exact and every
-  /// particle replays the fused kernel's exact operation sequence, so
-  /// the result is bit-identical to the serial stage for every shard
-  /// count (tests/pic/ShardEquivalenceTest.cpp).
-  /// \returns the push launches' events (already waited, so the stage-1
-  /// wall is exact; they gate the wrap node).
-  /// Arenas always come from the concrete sharded backend; submissions
-  /// go through \p Exec so a graph-capturing wrapper can record them.
-  std::vector<exec::ExecEvent>
-  shardedInterpPush(exec::ExecutionBackend &Exec, const ViewT &View,
-                    Vector3<Real> *OldPos,
-                    const ParticleTypeInfo<Real> *TypesPtr, Real Dt, Index N,
-                    const exec::ExecutionContext &Ctx) {
-    exec::ShardResources *Sharded = PushSharded();
-    const Index Blocks =
-        exec::clampSlabCount(N, Index(Backend->shardCount()));
-    const YeeInterpolator<Real> Interp(Grid);
-    const Real C = Options.LightVelocity;
-    std::vector<exec::ExecEvent> PushEvents;
-    PushEvents.reserve(std::size_t(Blocks));
-
-    // After a fired rebalance the even split gives way to the
-    // occupancy-weighted one: PushFractions (cumulative occupancy at
-    // the weighted plane boundaries) rescaled by the current N. The
-    // push is per-particle-independent, so ANY index partition is
-    // bit-identical — this re-split changes balance, never bits.
-    const bool Weighted = PushFractions.size() == std::size_t(Blocks) + 1;
-    auto BlockRange = [&](Index S) {
-      if (!Weighted)
-        return exec::slabRange(N, Blocks, S);
-      exec::SlabRange R;
-      R.Begin = Index(PushFractions[std::size_t(S)] * double(N));
-      R.End = S + 1 == Blocks
-                  ? N
-                  : Index(PushFractions[std::size_t(S) + 1] * double(N));
-      return R;
-    };
-
-    Stopwatch Wall;
+    std::vector<exec::ExecEvent> Events;
     for (Index S = 0; S < Blocks; ++S) {
-      const exec::SlabRange R = BlockRange(S);
-      if (R.empty())
+      const Index Begin = Index(PushFractions[std::size_t(S)] * double(N));
+      const Index End =
+          S + 1 == Blocks
+              ? N
+              : Index(PushFractions[std::size_t(S) + 1] * double(N));
+      if (End <= Begin)
         continue; // a weighted block may own no particles
-      auto *Buf = static_cast<FieldSample<Real> *>(Sharded->shardArena(
-          int(S), sizeof(FieldSample<Real>) * std::size_t(R.size())));
-      const exec::ExecEvent Sampled = submitStageKernel(
-          Exec, PrecalcBody{View, Interp, OldPos, Buf, R.Begin, &StepParams},
-          R.size(), {}, PrecalcKernelTiming, Ctx, int(S));
-      PushEvents.push_back(submitStageKernel(
-          Exec, SampledPushBody{View, Buf, TypesPtr, R.Begin, Dt, C},
-          R.size(), {Sampled}, PushKernelTiming, Ctx, int(S)));
+      Body.Offset = Begin;
+      Events.push_back(submitStageKernel(Exec, Body, End - Begin, {},
+                                         PushLaunchStats, Ctx, int(S)));
     }
-    for (const exec::ExecEvent &Ev : PushEvents)
-      Ev.wait();
-    addWall(PushTiming, Wall); // stage-1 stats stay wall-clock true
-    return PushEvents;
+    return Events;
   }
 
   /// The nine field lattices in checkpoint order (Ex..Bz, Jx..Jz) —
@@ -1125,14 +1043,13 @@ private:
   RunStats PushTiming;
   RunStats DepositTiming;
   RunStats FieldTiming;
-  RunStats PrecalcKernelTiming; ///< sharded precalc kernels only
-  RunStats PushKernelTiming;    ///< sharded push kernels only
+  RunStats PushLaunchStats;     ///< stage-1 launch ledger
   RunStats DepositLaunchStats;  ///< deposit-chain launch ledger
   RunStats FieldLaunchStats;    ///< field-chain launch ledger
   RunStats GraphTiming;         ///< graph-mode step wall (capture+replay)
   exec::ParamBlock StepParams; ///< per-step rebinding surface
   Stopwatch AsyncStepWatch;    ///< submitStepAsync -> finishStepAsync wall
-  exec::KernelCache StageCache; ///< clear, stage-1 and wrap bodies
+  exec::KernelCache StageCache; ///< clear and stage-1 bodies
   exec::KernelCache ChainCache; ///< deposit + field chain bodies
   std::unique_ptr<exec::StepGraph> Graph;
   Index GraphN = Index(-1); ///< ensemble size the graph was captured at

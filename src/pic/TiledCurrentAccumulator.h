@@ -53,19 +53,6 @@
 namespace hichi {
 namespace pic {
 
-/// Periodic wrap for stencil and plane indices, which stay within a
-/// couple of periods of [0, N): the CIC/Esirkepov bases come from floor()
-/// of in-box node-relative positions (old positions are wrapped every
-/// step), so conditional adds replace the %-based ScalarLattice::wrap on
-/// this hot path.
-inline Index wrapNear(Index I, Index N) {
-  while (I < 0)
-    I += N;
-  while (I >= N)
-    I -= N;
-  return I;
-}
-
 /// The production current sink: adds straight into the grid's J lattices,
 /// restricted to the logical x-planes [PlaneBegin, PlaneEnd) one tile
 /// owns (the whole grid for the one-tile path). setStencilBase resolves

@@ -29,10 +29,24 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <cmath>
 #include <vector>
 
 namespace hichi {
 namespace pic {
+
+/// Periodic wrap for stencil and plane indices, which stay within a
+/// couple of periods of [0, N): the interpolation and deposit bases come
+/// from floor() of in-box node-relative positions (positions are wrapped
+/// every step), so conditional adds replace the %-based
+/// ScalarLattice::wrap on these hot paths. Equal to it for every input.
+inline Index wrapNear(Index I, Index N) {
+  while (I < 0)
+    I += N;
+  while (I >= N)
+    I -= N;
+  return I;
+}
 
 /// One scalar field component on a periodic 3-D lattice. The x axis may
 /// carry a ring offset (XBase, set by the owning grid's moving window):
@@ -130,13 +144,25 @@ public:
                          Real(Size_.Nz) * Step_.Z);
   }
 
-  /// Wraps a particle position into the periodic box.
+  /// Wraps a particle position into the periodic box: per axis
+  /// R = fmod(X - O, L), plus L when negative, at O + R. A particle
+  /// crosses at most one face per step, so X - O nearly always lies in
+  /// (-L, 2L), where the fmod is skipped with the same bits: in [L, 2L)
+  /// it is R - L (exact, by Sterbenz), in (-L, 0) R itself, so the
+  /// result is R + L. Anything else, NaN included, takes the formula.
   Vector3<Real> wrapPosition(Vector3<Real> P) const {
     const Vector3<Real> L = extent();
     auto Wrap1 = [](Real X, Real O, Real Len) {
-      Real R = std::fmod(X - O, Len);
-      if (R < Real(0))
+      Real R = X - O;
+      if (R >= Len && R < Real(2) * Len) {
+        R -= Len;
+      } else if (R < Real(0) && R > -Len) {
         R += Len;
+      } else if (!(R >= Real(0) && R < Len)) {
+        R = std::fmod(R, Len);
+        if (R < Real(0))
+          R += Len;
+      }
       return O + R;
     };
     return Vector3<Real>(Wrap1(P.X, LiveOrigin_.X, L.X),
@@ -186,10 +212,12 @@ public:
     syncLiveOrigin();
   }
 
-  void clearCurrent() {
-    Jx.fill(Real(0));
-    Jy.fill(Real(0));
-    Jz.fill(Real(0));
+  /// Zeroes J on the logical x-planes [Begin, End); disjoint ranges
+  /// touch disjoint storage, so they may clear in parallel.
+  void clearCurrent(Index Begin, Index End) {
+    for (Index I = Begin; I < End; ++I)
+      for (ScalarLattice<Real> *J : {&Jx, &Jy, &Jz})
+        J->zeroXPlane(I);
   }
 
   /// Field energy [erg] = sum (E^2 + B^2)/(8 pi) dV over the lattice.

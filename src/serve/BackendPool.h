@@ -7,8 +7,8 @@
 /// \file
 /// The serving layer's shared execution substrate: ONE persistent
 /// ShardedBackend (exec/ShardedBackend.h — pinned workers, per-lane
-/// FIFO queues, first-touched arenas) whose lanes are carved into
-/// fixed-size contiguous **slots** and leased to jobs:
+/// FIFO queues) whose lanes are carved into fixed-size contiguous
+/// **slots** and leased to jobs:
 ///
 ///   * **BackendPool** — owns the sharded backend and the slot
 ///     free-list. acquire(N) blocks until N whole slots are free and
@@ -29,7 +29,7 @@
 ///     BackendPool construction. PicSimulation creates its stage
 ///     backends by registry name; a BindGuard on the constructing
 ///     thread routes createBackend("pool") to fresh clients over the
-///     bound lease, so the whole PIC stack (sharded stage-1 arenas,
+///     bound lease, so the whole PIC stack (stage-1 blocks split across lanes,
 ///     tiled deposit chains, step-graph capture/replay) runs on leased
 ///     lanes without a single PicSimulation change. Outside a bind the
 ///     factory returns nullptr (the name is visible but unusable, like
@@ -93,8 +93,8 @@ public:
   /// The underlying sharded backend (pool-wide shard stats, drain).
   exec::ShardedBackend &backend() { return *Pool; }
 
-  /// Blocks until every launch on every lane completed and releases
-  /// retired arena buffers. Call only while no job is active.
+  /// Blocks until every launch on every lane completed. Call only while
+  /// no job is active.
   void drain() { Pool->drain(); }
 
   /// Routes createBackend("pool") on this thread to clients over
@@ -128,7 +128,7 @@ private:
 };
 
 /// A job's view of its leased lane slice, as a full ExecutionBackend +
-/// ShardResources — PicSimulation's sharded code paths (stage-1 arena
+/// ShardResources — PicSimulation's sharded code paths (stage-1 shard
 /// routing, per-shard stats windows, tile resolution) work unchanged.
 class PoolClientBackend final : public exec::ExecutionBackend,
                                 public exec::ShardResources {
@@ -139,13 +139,6 @@ public:
   const char *name() const override { return "pool"; }
   bool isAsynchronous() const override { return true; }
   int shardCount() const override { return Lease.Lanes; }
-
-  /// Arena of slice lane \p Shard — the pool lane's persistent arena,
-  /// so a slot reused across jobs hands the next job warm pages.
-  void *shardArena(int Shard, std::size_t Bytes) override {
-    return Owner.backend().shardArena(Lease.Base + Shard % Lease.Lanes,
-                                      Bytes);
-  }
 
   /// The slice's lanes only (a tenant never sees neighbours' counters).
   std::vector<exec::ShardStat> shardStats() const override {

@@ -9,8 +9,8 @@
 /// partition helper it (and the deposit tiles and FDTD slabs) split
 /// with: degenerate clamp cases, exact launch coverage across shard
 /// counts, shard-affinity routing (one lane executes the whole launch;
-/// equal affinities share a lane), cross-shard dependency ordering,
-/// per-shard statistics, and the persistent first-touched arena.
+/// equal affinities share a lane), cross-shard dependency ordering and
+/// per-shard statistics.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -80,7 +80,7 @@ TEST(SlabPartitionTest, FirstSlabsTakeTheExtraItems) {
 }
 
 //===----------------------------------------------------------------------===//
-// Sharded backend: coverage, routing, dependencies, stats, arena
+// Sharded backend: coverage, routing, dependencies, stats
 //===----------------------------------------------------------------------===//
 
 TEST(ShardedBackendTest, RegisteredWithShardCountFromThreads) {
@@ -233,28 +233,6 @@ TEST(ShardedBackendTest, ShardStatsCountItemsAndLaunches) {
   EXPECT_EQ(ShardStats[2].Items, 35); // its block plus the pinned launch
   EXPECT_GT(shardImbalance(ShardStats), 1.0);
   EXPECT_LE(shardOccupancy(ShardStats, 0), 1.0);
-}
-
-TEST(ShardedBackendTest, ArenaGrowsPerShardAndStaysStable) {
-  ShardedBackend Backend({/*Threads=*/2, /*Grain=*/0});
-  void *A = Backend.shardArena(0, 256);
-  ASSERT_NE(A, nullptr);
-  // A smaller (or equal) request returns the same buffer.
-  EXPECT_EQ(Backend.shardArena(0, 128), A);
-  EXPECT_EQ(Backend.shardArena(0, 256), A);
-  // The other shard's arena is distinct storage.
-  void *B = Backend.shardArena(1, 256);
-  ASSERT_NE(B, nullptr);
-  EXPECT_NE(B, A);
-  // Growth may move the buffer; the old one stays valid until drain()
-  // (launches in flight may still read it), and the new one is
-  // first-touched (zeroed) by the owning lane before later tasks run.
-  void *Grown = Backend.shardArena(0, 1 << 20);
-  ASSERT_NE(Grown, nullptr);
-  Backend.drain();
-  auto *Bytes = static_cast<unsigned char *>(Grown);
-  EXPECT_EQ(Bytes[0], 0u);
-  EXPECT_EQ(Bytes[(1 << 20) - 1], 0u);
 }
 
 TEST(ShardedBackendTest, AffinityChainsNeedNoEventsOnOneLane) {

@@ -12,7 +12,7 @@
 /// count — for every stage shape (serial, openmp, sharded) and both
 /// Maxwell solvers. Host-side stage work in the classic step (a J clear,
 /// a wrap loop or a binning pass outside the backends) would break the
-/// equality.
+/// equality. Both step shapes also report one comparable step wall.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -72,7 +72,7 @@ void checkLaunchParity(const std::string &Backend) {
     const char *SolverName =
         Solver == FieldSolverKind::Fdtd ? "fdtd" : "spectral";
     auto Classic = makeSimulation(Solver, Backend, /*UseGraph=*/false);
-    Classic->step(); // first-step effects (arena growth) out of the window
+    Classic->step(); // first-step effects (lane start-up) out of the window
     const RunStats Before = Classic->submitOverhead();
     Classic->step();
     const RunStats After = Classic->submitOverhead();
@@ -94,5 +94,22 @@ TEST(LaunchParityTest, Serial) { checkLaunchParity("serial"); }
 TEST(LaunchParityTest, Openmp) { checkLaunchParity("openmp"); }
 
 TEST(LaunchParityTest, Sharded) { checkLaunchParity("sharded"); }
+
+/// stepWallNs() is the step cost that compares classic and graph-mode
+/// runs (pic_langmuir --tune-trials scores candidates by it), so in
+/// either mode it must cover the stage-1 kernel time the steps spent —
+/// on synchronous backends that time runs inside the step wall.
+TEST(LaunchParityTest, StepWallCoversStage1KernelsInBothModes) {
+  for (const char *Backend : {"serial", "openmp"})
+    for (bool UseGraph : {false, true}) {
+      auto Sim = makeSimulation(FieldSolverKind::Fdtd, Backend, UseGraph);
+      for (int S = 0; S < 4; ++S)
+        Sim->step();
+      const double Stage1Ns = Sim->pushLaunchStats().HostNs;
+      EXPECT_GT(Stage1Ns, 0.0) << Backend << " graph=" << UseGraph;
+      EXPECT_GE(Sim->stepWallNs(), Stage1Ns)
+          << Backend << " graph=" << UseGraph;
+    }
+}
 
 } // namespace

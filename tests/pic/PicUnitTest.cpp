@@ -12,6 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
+
 using namespace hichi;
 using namespace hichi::pic;
 
@@ -104,6 +109,64 @@ TEST(YeeGridTest, WrapPosition) {
   EXPECT_NEAR(P.X, 0.5, 1e-12);
   EXPECT_NEAR(P.Y, 3.5, 1e-12);
   EXPECT_NEAR(P.Z, 2.0, 1e-12);
+}
+
+/// The wrap as the plain fmod formula writes it: the reference for the
+/// fast paths of YeeGrid::wrapPosition.
+double fmodWrap(double X, double O, double Len) {
+  double R = std::fmod(X - O, Len);
+  if (R < 0.0)
+    R += Len;
+  return O + R;
+}
+
+bool sameBits(double A, double B) {
+  return std::memcmp(&A, &B, sizeof(double)) == 0;
+}
+
+TEST(YeeGridTest, WrapPositionMatchesFmodFormulaBitwise) {
+  YeeGrid<double> Fixed({8, 5, 6}, {0, 0, 0}, {0.7, 1.3, 0.9});
+  YeeGrid<double> Shifted({8, 5, 6}, {0, 0, 0}, {0.7, 1.3, 0.9});
+  Shifted.shiftWindow(3); // live origin.x = 3 * 0.7
+  RandomStream<double> Rng(11);
+  for (const YeeGrid<double> *G : {&Fixed, &Shifted}) {
+    const Vector3<double> O = G->origin();
+    const Vector3<double> L = G->extent();
+    for (int Axis = 0; Axis < 3; ++Axis) {
+      const double Os = Axis == 0 ? O.X : Axis == 1 ? O.Y : O.Z;
+      const double Ls = Axis == 0 ? L.X : Axis == 1 ? L.Y : L.Z;
+      const double Ulp = std::numeric_limits<double>::denorm_min();
+      std::vector<double> Offsets = {-0.0,
+                                     -Ulp,
+                                     0.0,
+                                     std::nextafter(Ls, 0.0),
+                                     Ls,
+                                     std::nextafter(2 * Ls, 0.0),
+                                     2 * Ls,
+                                     -Ls,
+                                     std::nextafter(-Ls, 0.0),
+                                     1e3 * Ls,
+                                     -1e3 * Ls};
+      for (int Trial = 0; Trial < 200; ++Trial)
+        Offsets.push_back(Rng.uniform(-3 * Ls, 4 * Ls));
+      // Each offset both as the coordinate itself and relative to the
+      // live origin.
+      std::vector<double> Coords;
+      for (double V : Offsets) {
+        Coords.push_back(V);
+        Coords.push_back(Os + V);
+      }
+      for (double X : Coords) {
+        Vector3<double> P = O;
+        (Axis == 0 ? P.X : Axis == 1 ? P.Y : P.Z) = X;
+        const Vector3<double> W = G->wrapPosition(P);
+        const double Got = Axis == 0 ? W.X : Axis == 1 ? W.Y : W.Z;
+        EXPECT_TRUE(sameBits(Got, fmodWrap(X, Os, Ls)))
+            << "axis " << Axis << " x " << X << " origin " << Os
+            << ": got " << Got << ", formula " << fmodWrap(X, Os, Ls);
+      }
+    }
+  }
 }
 
 TEST(YeeGridTest, FieldEnergyOfUniformField) {
@@ -229,6 +292,113 @@ TEST(YeeInterpolatorTest, RespectsStaggering) {
   // Half a cell off in x splits the weight evenly.
   auto F2 = Interp(Vector3<double>(2.0, 2.0, 2.0), 0, 0);
   EXPECT_NEAR(F2.E.X, 3.5, 1e-12);
+}
+
+/// One component's gather written per node through
+/// ScalarLattice::operator(): the form the stencil-resolved
+/// YeeInterpolator must match bit for bit.
+template <typename Shape>
+double referenceGather(const YeeGrid<double> &G,
+                       const ScalarLattice<double> &F,
+                       const Vector3<double> &Pos, double Ox, double Oy,
+                       double Oz) {
+  const Vector3<double> D = G.step();
+  const Vector3<double> O = G.origin();
+  const double Gx = (Pos.X - O.X) / D.X - Ox;
+  const double Gy = (Pos.Y - O.Y) / D.Y - Oy;
+  const double Gz = (Pos.Z - O.Z) / D.Z - Oz;
+  Index BX, BY, BZ;
+  double WX[Shape::Support], WY[Shape::Support], WZ[Shape::Support];
+  Shape::weights(Gx, BX, WX);
+  Shape::weights(Gy, BY, WY);
+  Shape::weights(Gz, BZ, WZ);
+  double Sum = 0;
+  for (int I = 0; I < Shape::Support; ++I)
+    for (int J = 0; J < Shape::Support; ++J)
+      for (int K = 0; K < Shape::Support; ++K)
+        Sum += WX[I] * WY[J] * WZ[K] * F(BX + I, BY + J, BZ + K);
+  return Sum;
+}
+
+template <typename Shape>
+FieldSample<double> referenceSample(const YeeGrid<double> &G,
+                                    const Vector3<double> &Pos) {
+  FieldSample<double> Out;
+  Out.E.X = referenceGather<Shape>(G, G.Ex, Pos, 0.5, 0, 0);
+  Out.E.Y = referenceGather<Shape>(G, G.Ey, Pos, 0, 0.5, 0);
+  Out.E.Z = referenceGather<Shape>(G, G.Ez, Pos, 0, 0, 0.5);
+  Out.B.X = referenceGather<Shape>(G, G.Bx, Pos, 0, 0.5, 0.5);
+  Out.B.Y = referenceGather<Shape>(G, G.By, Pos, 0.5, 0, 0.5);
+  Out.B.Z = referenceGather<Shape>(G, G.Bz, Pos, 0.5, 0.5, 0);
+  return Out;
+}
+
+/// Per-axis probe coordinates: every node and half-node from two periods
+/// below the box to two periods above it, the box faces 0 and L - ulp,
+/// and random points over the same span.
+std::vector<double> probeCoords(double O, double D, Index N,
+                                RandomStream<double> &Rng) {
+  const double L = double(N) * D;
+  std::vector<double> Out = {O, std::nextafter(O + L, O)};
+  for (Index H = -4 * N; H <= 6 * N; ++H)
+    Out.push_back(O + 0.5 * double(H) * D);
+  for (int Trial = 0; Trial < 8; ++Trial)
+    Out.push_back(Rng.uniform(O - 2 * L, O + 3 * L));
+  return Out;
+}
+
+template <typename Shape>
+void expectGatherMatchesReference(YeeGrid<double> &G, std::uint64_t Seed) {
+  RandomStream<double> Rng(Seed);
+  for (ScalarLattice<double> *F : {&G.Ex, &G.Ey, &G.Ez, &G.Bx, &G.By, &G.Bz})
+    for (double &V : F->raw())
+      V = Rng.uniform(-1.0, 1.0);
+  const Vector3<double> O = G.origin();
+  const Vector3<double> D = G.step();
+  const GridSize S = G.size();
+  const std::vector<double> Xs = probeCoords(O.X, D.X, S.Nx, Rng);
+  const std::vector<double> Ys = probeCoords(O.Y, D.Y, S.Ny, Rng);
+  const std::vector<double> Zs = probeCoords(O.Z, D.Z, S.Nz, Rng);
+  const YeeInterpolator<double, Shape> Interp(G);
+  // Every x against a rotating (y, z) pair keeps the product small while
+  // each axis still visits all of its probes.
+  std::size_t Checked = 0;
+  for (std::size_t I = 0; I < Xs.size(); ++I)
+    for (std::size_t J = 0; J < Ys.size(); J += 3) {
+      const Vector3<double> P(Xs[I], Ys[(I + J) % Ys.size()],
+                              Zs[(I * 7 + J) % Zs.size()]);
+      const FieldSample<double> Got = Interp(P, 0, 0);
+      const FieldSample<double> Want = referenceSample<Shape>(G, P);
+      ASSERT_EQ(std::memcmp(&Got, &Want, sizeof(Got)), 0)
+          << "grid " << S.Nx << "x" << S.Ny << "x" << S.Nz << " ring base "
+          << G.Ex.xBase() << " at (" << P.X << ", " << P.Y << ", " << P.Z
+          << ")";
+      ++Checked;
+    }
+  EXPECT_GT(Checked, 0u);
+}
+
+template <typename Shape>
+class YeeInterpolatorBitsTest : public ::testing::Test {};
+TYPED_TEST_SUITE(YeeInterpolatorBitsTest, Shapes);
+
+TYPED_TEST(YeeInterpolatorBitsTest, MatchesPerNodeGatherBitwise) {
+  const Vector3<double> Origin(-1.1, 0.4, 2.3);
+  const Vector3<double> Step(0.7, 1.3, 0.9);
+  std::uint64_t Seed = 20;
+  for (GridSize Size : {GridSize{8, 5, 6}, GridSize{2, 2, 2},
+                        GridSize{8, 1, 2}, GridSize{1, 1, 1}}) {
+    YeeGrid<double> G(Size, Origin, Step);
+    expectGatherMatchesReference<TypeParam>(G, Seed++);
+  }
+}
+
+TYPED_TEST(YeeInterpolatorBitsTest, MatchesPerNodeGatherOnShiftedWindow) {
+  YeeGrid<double> G({8, 5, 6}, {-1.1, 0.4, 2.3}, {0.7, 1.3, 0.9});
+  G.shiftWindow(3);
+  G.shiftWindow(2);
+  ASSERT_EQ(G.Ex.xBase(), 5);
+  expectGatherMatchesReference<TypeParam>(G, 30);
 }
 
 TEST(YeeInterpolatorTest, TscVariantAlsoPartitionsUnity) {

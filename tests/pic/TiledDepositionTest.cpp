@@ -305,7 +305,7 @@ TEST(TiledDepositionTest, SimulationHashInvariantForDirectScheme) {
 }
 
 /// Like simulationHash, but configures the *push* stage: the sharded
-/// push backend runs stage 1 as per-shard precalc/push launch pairs
+/// push backend splits the stage-1 launch into one block per shard
 /// (PicSimulation.h), which must reproduce the fused serial stage
 /// bit-for-bit for every shard count x deposit configuration.
 template <typename Array>
