@@ -13,10 +13,10 @@
 ///
 /// The artifact feeds two consumers: HICHI_MACHINE_PROFILE=<path> makes
 /// the autotuner plan from this measured profile instead of re-measuring
-/// in-process, and CI archives it beside the bench JSON for trend
-/// inspection. Before exiting, the bench reloads its own artifact and
-/// requires the round-trip to be bit-identical — the save path's %.17g
-/// contract is part of the schema, so a lossy writer fails the bench.
+/// in-process, and CI archives it beside the bench JSON. Before exiting,
+/// the bench reloads its own artifact and requires the round-trip to be
+/// bit-identical — the save path's %.17g contract is part of the
+/// schema, so a lossy writer fails the bench.
 ///
 /// `--fast` selects the bounded CI preset (CalibrationConfig::fast()).
 ///

@@ -13,7 +13,7 @@
 ///
 ///   * stage "serve"   — whole-mix wall time per iteration; the record's
 ///     particles field carries the mix's TOTAL particle-steps (steps =
-///     1), so the trend gate's min_ns / (particles * steps) IS the
+///     1), so the record's min_ns / (particles * steps) IS the
 ///     serving layer's NSPS — directly comparable across runs.
 ///   * stage "latency" — per-job enqueue-to-completion latencies of the
 ///     last iteration as the iteration series (median_ns = p50); p95 is
@@ -25,7 +25,7 @@
 /// run on the first iteration (the serve bit-identity gate — the bench
 /// fails on any mismatch). Sizes: HICHI_BENCH_JOBS (default 24),
 /// HICHI_BENCH_ITERATIONS (default 3); HICHI_BENCH_JSON writes
-/// hichi-bench-v1 records for tools/bench_trend.py.
+/// hichi-bench-v1 records.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# CI entry point: Release build, full test suite, and a smoke benchmark
-# pass at tiny sizes whose JSON records land in results/ as artifacts.
+# CI entry point: Release build, full test suite, a smoke benchmark pass
+# at tiny sizes whose JSON records land in results/ as artifacts, the
+# cross-backend hash checks, and the perfbench gate against the committed
+# baseline (ci/perf_gate.py, ci/perf_baseline.json).
 #
 # sample usage:
 #
@@ -53,55 +55,6 @@ export HICHI_BENCH_PARTICLES="${HICHI_BENCH_PARTICLES:-4000}"
 export HICHI_BENCH_STEPS="${HICHI_BENCH_STEPS:-8}"
 export HICHI_BENCH_ITERATIONS="${HICHI_BENCH_ITERATIONS:-2}"
 
-# The smoke benches, as one rerunnable unit: the perf trend gate below
-# re-measures through this function to confirm a flagged regression.
-run_smoke_benches() {
-  # bench_pic_deposit / bench_pic_async / bench_pic_fields also fail by
-  # themselves if any configuration's state hash deviates from the
-  # serial reference. bench_pic_async runs the step-graph
-  # resubmit-vs-replay sweep on the sharded backend (stage "submit") and
-  # fails unless, at the smallest grid, replay issues fewer launches per
-  # step and has the lower median step wall.
-  HICHI_BENCH_JSON=results/BENCH_scheduling.json \
-    ./build/bench_ablation_scheduling
-  HICHI_BENCH_JSON=results/BENCH_pic_deposit.json ./build/bench_pic_deposit
-  HICHI_BENCH_JSON=results/BENCH_pic_async.json ./build/bench_pic_async
-  HICHI_BENCH_JSON=results/BENCH_pic_fields.json ./build/bench_pic_fields
-  # bench_pic_sharded fails by itself on any shard-count hash deviation
-  # and records the shard-scaling trend baseline (stage "step") — once
-  # resubmitting and once in step-graph replay mode (submit "graph"
-  # keys the records separately in the trend gate).
-  HICHI_BENCH_JSON=results/BENCH_pic_sharded.json ./build/bench_pic_sharded
-  HICHI_BENCH_GRAPH=1 HICHI_BENCH_JSON=results/BENCH_pic_sharded_graph.json \
-    ./build/bench_pic_sharded
-  # bench_pic_rebalance fails by itself if any configuration (serial /
-  # sharded, static / rebalanced) deviates from one state hash on the
-  # drifting-slab skew scenario; records stages "step" and "rebalance".
-  # HICHI_BENCH_REBALANCE=0 would drop the rebalanced rows.
-  HICHI_BENCH_JSON=results/BENCH_pic_rebalance.json \
-    ./build/bench_pic_rebalance
-  # bench_pic_window fails by itself if any configuration deviates from
-  # the serial state hash on the moving-window scenario, if retire !=
-  # inject, or if a shift ever touches more than 9 x Ny x Nz lattice
-  # elements per shifted plane (the O(shifted planes) ring guarantee);
-  # records stage "window-shift".
-  HICHI_BENCH_JSON=results/BENCH_pic_window.json ./build/bench_pic_window
-  # bench_serve fails by itself if any served job's final hash deviates
-  # from a standalone serial run of the same spec; records throughput
-  # (stage "serve") and per-job latency (stage "latency") per config.
-  HICHI_BENCH_JOBS="${HICHI_BENCH_JOBS:-8}" \
-    HICHI_BENCH_JSON=results/BENCH_serve.json ./build/bench_serve
-  for RUNNER in serial openmp dpcpp dpcpp-numa sharded; do
-    ./build/hichi_push --runner "$RUNNER" --particles 20000 --steps 10 \
-      --iterations 2 --json "results/BENCH_push_${RUNNER}.json" \
-      | grep -E "NSPS|state hash"
-  done
-  # The step-loop graph shape (capture step 0, replay the rest).
-  ./build/hichi_push --runner dpcpp --graph --particles 20000 --steps 10 \
-    --iterations 2 --json results/BENCH_push_dpcpp_graph.json \
-    | grep -E "NSPS|state hash"
-}
-
 ./build/hichi_push --list-runners
 
 # Calibrate the machine profile once (the fast sweep): the artifact is
@@ -110,7 +63,22 @@ run_smoke_benches() {
 # bit-identical.
 ./build/bench_calibrate --fast --out results/machine_profile.json
 
-run_smoke_benches
+HICHI_BENCH_JSON=results/BENCH_scheduling.json \
+  ./build/bench_ablation_scheduling
+# bench_serve fails by itself if any served job's final hash deviates
+# from a standalone serial run of the same spec; records throughput
+# (stage "serve") and per-job latency (stage "latency") per config.
+HICHI_BENCH_JOBS="${HICHI_BENCH_JOBS:-8}" \
+  HICHI_BENCH_JSON=results/BENCH_serve.json ./build/bench_serve
+for RUNNER in serial openmp dpcpp dpcpp-numa sharded; do
+  ./build/hichi_push --runner "$RUNNER" --particles 20000 --steps 10 \
+    --iterations 2 --json "results/BENCH_push_${RUNNER}.json" \
+    | grep -E "NSPS|state hash"
+done
+# The step-loop graph shape (capture step 0, replay the rest).
+./build/hichi_push --runner dpcpp --graph --particles 20000 --steps 10 \
+  --iterations 2 --json results/BENCH_push_dpcpp_graph.json \
+  | grep -E "NSPS|state hash"
 
 # All runners (the asynchronous sharded one included) must agree
 # bitwise on the final particle state; --chain re-runs the dpcpp backend
@@ -342,33 +310,12 @@ print(f"JSON artifacts: OK ({len(files)} files + machine profile)")
 EOF
 fi
 
-# Perf trend gate: the newest artifacts must not regress NSPS by more
-# than 15% per (bench, backend, stage) against the previous recorded run
-# (results/baseline/, refreshed on every green pass). A flagged
-# regression is re-measured once before failing — a transient spike on
-# a shared CI host passes the second measurement, a real regression
-# fails both. Skip with HICHI_TREND_SKIP=1 (e.g. when benchmarking on a
-# loaded host); tune with HICHI_TREND_THRESHOLD.
-# HICHI_TREND_SKIP accepts the uniform boolean grammar
-# (0/1/true/false/on/off/yes/no, case-insensitive).
-TREND_SKIP="$(echo "${HICHI_TREND_SKIP:-0}" | tr '[:upper:]' '[:lower:]' \
-              | tr -d '[:space:]')"
-case "$TREND_SKIP" in
-  1|true|on|yes) TREND_SKIP=1 ;;
-  *) TREND_SKIP=0 ;;
-esac
-if command -v python3 >/dev/null 2>&1 && [ "$TREND_SKIP" != "1" ]; then
-  TREND="python3 tools/bench_trend.py --results results \
-    --baseline results/baseline --threshold ${HICHI_TREND_THRESHOLD:-0.15}"
-  # --update only takes effect after a passing comparison, so one
-  # invocation both gates and records the new baseline. Two-strikes
-  # confirmation: only a group that regresses in the first measurement
-  # AND the re-measure fails the gate.
-  if ! $TREND --update --regressions-out results/.trend_flagged.json; then
-    echo "bench_trend: regression flagged; re-measuring once to confirm"
-    run_smoke_benches
-    $TREND --update --confirm results/.trend_flagged.json
-  fi
-fi
+# Perf gate: every perfbench workload must pass its own checks and keep
+# nsps_norm within BENCHMARK.json's bound of this host class's committed
+# baseline median (ci/perf_baseline.json; a host class without an entry
+# is reported, not gated). A flagged workload is re-run once before the
+# gate fails. The gate never writes the baseline: a change that moves
+# performance re-records it on purpose with --record.
+python3 ci/perf_gate.py
 
 echo "ci/run.sh: all green"

@@ -8,7 +8,7 @@
 /// Layout-generic whole-ensemble operations built on the proxy
 /// interface: predicate counting, compaction (drop escaped particles —
 /// what a production escape study does instead of re-checking dead
-/// particles forever), and in-place permutation.
+/// particles forever).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,8 +16,6 @@
 #define HICHI_CORE_ENSEMBLEOPS_H
 
 #include "core/ParticleArray.h"
-
-#include <vector>
 
 namespace hichi {
 
@@ -33,7 +31,7 @@ Index countIf(const Array &Particles, PredFn &&Pred) {
 
 /// Removes every particle satisfying \p Pred(proxy), compacting the
 /// survivors toward the front while preserving their relative order.
-/// \returns the number removed. O(N) record moves.
+/// \returns the number removed. O(N) record moves, no allocation.
 template <typename Array, typename PredFn>
 Index removeIf(Array &Particles, PredFn &&Pred) {
   using Real = typename Array::Scalar;
@@ -49,18 +47,8 @@ Index removeIf(Array &Particles, PredFn &&Pred) {
     }
     ++Write;
   }
-  const Index Removed = N - Write;
-  // Shrink by rebuilding the logical size: clear + re-push of nothing is
-  // not available, so containers expose truncation through clear() +
-  // pushBack; emulate with a direct re-fill of the retained prefix.
-  std::vector<ParticleT<Real>> Kept;
-  Kept.reserve(std::size_t(Write));
-  for (Index I = 0; I < Write; ++I)
-    Kept.push_back(View[I].load());
-  Particles.clear();
-  for (const ParticleT<Real> &P : Kept)
-    Particles.pushBack(P);
-  return Removed;
+  Particles.truncate(Write);
+  return N - Write;
 }
 
 /// Retires every particle whose x position lies below \p MinX — the
@@ -73,23 +61,6 @@ template <typename Array, typename Real>
 Index retireParticlesBelowX(Array &Particles, Real MinX) {
   return removeIf(Particles,
                   [MinX](const auto &P) { return P.position().X < MinX; });
-}
-
-/// Applies permutation \p NewIndexOf (NewIndexOf[i] = source index of the
-/// particle that should land at position i) — the generic form the
-/// sorter's counting pass produces.
-template <typename Array>
-void applyPermutation(Array &Particles, const std::vector<Index> &SourceOf) {
-  using Real = typename Array::Scalar;
-  assert(Index(SourceOf.size()) == Particles.size() &&
-         "permutation size mismatch");
-  auto View = Particles.view();
-  std::vector<ParticleT<Real>> Staging;
-  Staging.reserve(SourceOf.size());
-  for (Index Src : SourceOf)
-    Staging.push_back(View[Src].load());
-  for (Index I = 0, E = Particles.size(); I < E; ++I)
-    View[I].store(Staging[std::size_t(I)]);
 }
 
 } // namespace hichi

@@ -122,6 +122,9 @@ public:
 
   void clear() { Count = 0; }
 
+  /// Keeps the first \p N particles and drops the rest.
+  void truncate(Index N) { assert(N >= 0 && N <= Count); Count = N; }
+
   Proxy operator[](Index I) const {
     assert(I >= 0 && I < Count && "particle index out of range");
     return Proxy(Data + I);
@@ -275,6 +278,9 @@ public:
   }
 
   void clear() { Count = 0; }
+
+  /// Keeps the first \p N particles and drops the rest.
+  void truncate(Index N) { assert(N >= 0 && N <= Count); Count = N; }
 
   Proxy operator[](Index I) const {
     assert(I >= 0 && I < Count && "particle index out of range");

@@ -140,18 +140,6 @@ std::string TunePlan::report() const {
   return Out;
 }
 
-std::string TunePlan::reportLine() const {
-  char Buf[512];
-  std::snprintf(
-      Buf, sizeof(Buf),
-      "push=%s/%d deposit=%s/%dx%d field=%s/%dx%d graph=%d profile=%s(%s)",
-      Push.Backend.c_str(), Push.Threads, Deposit.Backend.c_str(),
-      Deposit.Threads, Deposit.Tiles, Field.Backend.c_str(), Field.Threads,
-      Field.Tiles, UseStepGraph ? 1 : 0, ProfileHost.c_str(),
-      Source.c_str());
-  return std::string(Buf);
-}
-
 TunePlan Autotuner::planFromProfile(const MachineProfile &Profile) {
   const CpuMachine Machine = CpuMachine::fromProfile(Profile);
 

@@ -42,8 +42,7 @@
 /// runs once per process. The plan is surfaced three ways: the "auto"
 /// registry entry (a factory that delegates to the planned push
 /// backend), PicOptions::Tune (applyTunePlan fills every stage knob the
-/// caller left at its built-in default), and `pic_langmuir --tune` /
-/// HICHI_BENCH_TUNE on the benches.
+/// caller left at its built-in default), and `pic_langmuir --tune`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -85,9 +84,6 @@ struct TunePlan {
 
   /// Multi-line human-readable chosen-knob report (the `--tune` print).
   std::string report() const;
-
-  /// One-line compact form for embedding in bench JSON records.
-  std::string reportLine() const;
 };
 
 bool operator==(const StagePlan &L, const StagePlan &R);

@@ -68,8 +68,8 @@ namespace hichi {
 namespace exec {
 
 /// Lifetime counters of one shard, for occupancy/imbalance diagnostics
-/// (PicSimulation::shardStats(), pic_langmuir --shards,
-/// bench_pic_sharded).
+/// (PicSimulation::shardStats(), pic_langmuir --shards, perfbench's
+/// exec.shard_imbalance).
 struct ShardStat {
   long long Launches = 0; ///< block tasks executed (incl. empty blocks)
   long long Items = 0;    ///< items processed across all launches

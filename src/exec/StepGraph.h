@@ -42,9 +42,10 @@
 /// of ExecutionBackend and calls submitImpl directly): a replayed step
 /// is *one* compiled-graph issue, not N launches, so
 /// RunStats::Launches/SpecsBuilt stay flat while the residual per-node
-/// re-issue cost still lands in RunStats::SubmitNs — exactly the
-/// launches-per-step and submit-overhead deltas bench_pic_async's
-/// resubmit-vs-replay sweep reports.
+/// re-issue cost still lands in RunStats::SubmitNs. The
+/// `pic_graph_replay_wall` ctest target
+/// (tests/pic/GraphReplayWallTest.cpp) holds replay to fewer launches
+/// per step and a lower step wall than resubmission.
 ///
 /// Determinism: replay submits the same kernels over the same item
 /// ranges with the same dependency shape on the same backends, in the

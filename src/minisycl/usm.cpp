@@ -54,15 +54,17 @@ void minisycl::free(void *Ptr) {
   if (!Ptr)
     return;
   UsmRegistry &Registry = UsmRegistry::get();
+  std::size_t Bytes = 0;
   {
     std::lock_guard<std::mutex> Lock(Registry.Mutex);
     auto It = Registry.Entries.find(Ptr);
     if (It == Registry.Entries.end())
       hichi::fatalError("minisycl::free called on a non-USM pointer");
-    Registry.LiveBytes -= It->second.Bytes;
+    Bytes = It->second.Bytes;
+    Registry.LiveBytes -= Bytes;
     Registry.Entries.erase(It);
   }
-  hichi::alignedFree(Ptr);
+  hichi::alignedFree(Ptr, Bytes);
 }
 
 usm::alloc minisycl::get_pointer_type(const void *Ptr) {

@@ -318,9 +318,23 @@ MachineProfile Calibration::measure(const CalibrationConfig &Config) {
   Out.FmaFlopsPerCore =
       measureFmaFlops(Config.FmaIterations, Config.Repeats, Checksum);
   CalibrationSink = Checksum;
-  Out.FmaFlopsSaturated = measureFmaFlopsSaturated(
-      Config.FmaIterations, Config.Repeats, Out.Threads);
+  const int PhysicalCores = CpuTopology::physicalCoreCount();
+  for (int Attempt = 0; Attempt < MaxFmaAttempts; ++Attempt) {
+    Out.FmaFlopsSaturated =
+        std::max(Out.FmaFlopsSaturated,
+                 measureFmaFlopsSaturated(Config.FmaIterations,
+                                          Config.Repeats, Out.Threads));
+    if (saturatedFmaPlausible(Out, PhysicalCores))
+      break;
+  }
   return Out;
+}
+
+bool Calibration::saturatedFmaPlausible(const MachineProfile &P,
+                                        int PhysicalCores) {
+  const int Cores = std::max(1, std::min(P.Threads, PhysicalCores));
+  return P.FmaFlopsSaturated >=
+         MinFmaSaturationRatio * double(Cores) * P.FmaFlopsPerCore;
 }
 
 //===----------------------------------------------------------------------===//

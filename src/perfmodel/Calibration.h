@@ -135,8 +135,24 @@ struct CalibrationConfig {
 /// `hichi-machine-v1` profiles.
 class Calibration {
 public:
-  /// Runs the stream sweep + FMA measurement (Submit stays empty).
+  /// Runs the stream sweep + FMA measurement (Submit stays empty). The
+  /// saturated FMA run is repeated, up to MaxFmaAttempts times in all,
+  /// while it is implausible (saturatedFmaPlausible), and the best
+  /// figure is kept.
   static MachineProfile measure(const CalibrationConfig &Config = {});
+
+  /// Lowest plausible saturated-to-ideal FMA ratio, and the number of
+  /// saturated FMA runs measure() makes at most to reach it.
+  static constexpr double MinFmaSaturationRatio = 0.7;
+  static constexpr int MaxFmaAttempts = 3;
+
+  /// True if \p P's saturated FMA rate is at least MinFmaSaturationRatio
+  /// x its one-core rate x min(Threads, \p PhysicalCores). A lower figure
+  /// says a worker lost its core during the run, not what the host can
+  /// do. The ideal counts physical cores, not SMT siblings: one thread's
+  /// independent FMA chains already fill its core's FMA units.
+  static bool saturatedFmaPlausible(const MachineProfile &P,
+                                    int PhysicalCores);
 
   /// Serializes \p P as a `hichi-machine-v1` document. load(save(P)) is
   /// bit-identical to P for every finite field.

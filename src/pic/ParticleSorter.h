@@ -21,6 +21,7 @@
 
 #include "core/ParticleArray.h"
 #include "pic/YeeGrid.h"
+#include "support/AlignedAllocator.h"
 
 #include <cmath>
 #include <vector>
@@ -74,18 +75,29 @@ private:
   Vector3<Real> Step;
 };
 
-/// Sorts \p Particles in place into cell order (counting sort through a
-/// temporary record buffer). Works for both layouts via proxies.
+/// sortByCell's working buffers. A caller that sorts repeatedly keeps
+/// one, so a steady-state sort allocates nothing.
+template <typename Real> struct SortScratch {
+  std::vector<Index, AlignedAllocator<Index>> Cell;
+  std::vector<Index, AlignedAllocator<Index>> Offsets;
+  std::vector<ParticleT<Real>, AlignedAllocator<ParticleT<Real>>> Staging;
+};
+
+/// Sorts \p Particles in place into cell order (counting sort through
+/// \p Scratch's record buffer). Works for both layouts via proxies.
 template <typename Array, typename Real>
-void sortByCell(Array &Particles, const CellIndexer<Real> &Indexer) {
+void sortByCell(Array &Particles, const CellIndexer<Real> &Indexer,
+                SortScratch<Real> &Scratch) {
   const Index N = Particles.size();
   if (N <= 1)
     return;
   auto View = Particles.view();
 
   // Pass 1: cell of every particle + histogram.
-  std::vector<Index> Cell(static_cast<std::size_t>(N));
-  std::vector<Index> Offsets(std::size_t(Indexer.cellCount()) + 1, 0);
+  auto &Cell = Scratch.Cell;
+  auto &Offsets = Scratch.Offsets;
+  Cell.resize(static_cast<std::size_t>(N));
+  Offsets.assign(std::size_t(Indexer.cellCount()) + 1, 0);
   for (Index I = 0; I < N; ++I) {
     Cell[std::size_t(I)] = Indexer.cellOf(View[I].position());
     ++Offsets[std::size_t(Cell[std::size_t(I)]) + 1];
@@ -94,8 +106,8 @@ void sortByCell(Array &Particles, const CellIndexer<Real> &Indexer) {
     Offsets[C] += Offsets[C - 1];
 
   // Pass 2: scatter records into a staging buffer in cell order.
-  using Record = ParticleT<Real>;
-  std::vector<Record> Staging(static_cast<std::size_t>(N));
+  auto &Staging = Scratch.Staging;
+  Staging.resize(static_cast<std::size_t>(N));
   for (Index I = 0; I < N; ++I) {
     Index &Slot = Offsets[std::size_t(Cell[std::size_t(I)])];
     Staging[std::size_t(Slot)] = View[I].load();
@@ -105,6 +117,13 @@ void sortByCell(Array &Particles, const CellIndexer<Real> &Indexer) {
   // Pass 3: write back.
   for (Index I = 0; I < N; ++I)
     View[I].store(Staging[std::size_t(I)]);
+}
+
+/// One-off sort with its own buffers.
+template <typename Array, typename Real>
+void sortByCell(Array &Particles, const CellIndexer<Real> &Indexer) {
+  SortScratch<Real> Scratch;
+  sortByCell(Particles, Indexer, Scratch);
 }
 
 /// Per-x-plane particle occupancy of the flat ensemble: Counts[p] is

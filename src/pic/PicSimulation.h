@@ -63,6 +63,7 @@
 #include "pic/SpectralSolver.h"
 #include "pic/TiledCurrentAccumulator.h"
 #include "pic/YeeGrid.h"
+#include "support/AlignedAllocator.h"
 #include "support/Timer.h"
 
 #include <algorithm>
@@ -501,7 +502,7 @@ private:
     CurrentTime += Options.TimeStep;
     ++Steps;
     if (Options.SortEveryNSteps > 0 && Steps % Options.SortEveryNSteps == 0)
-      sortByCell(Particles, Indexer);
+      sortByCell(Particles, Indexer, SortBuffers);
     if (Absorber) {
       Absorber->apply(Grid);
       // A shrunk ensemble invalidates the captured graph through the
@@ -624,7 +625,7 @@ private:
       return;
     if (!Rebal->check(Particles))
       return;
-    sortByCell(Particles, Indexer);
+    sortByCell(Particles, Indexer, SortBuffers);
     Accumulator->retile(
         Rebal->planeBoundaries(Index(Accumulator->tileCount())));
     PushFractions.clear();
@@ -1031,6 +1032,7 @@ private:
   FdtdSolver<Real> Solver;
   std::unique_ptr<SpectralSolver<Real>> Spectral;
   CellIndexer<Real> Indexer;
+  SortScratch<Real> SortBuffers; ///< reused by every periodic sort
   PicOptions<Real> Options;
   std::unique_ptr<exec::ExecutionBackend> Backend;
   std::unique_ptr<exec::ExecutionBackend> DepositExec;
@@ -1038,8 +1040,8 @@ private:
   std::unique_ptr<TiledCurrentAccumulator<Real>> Accumulator;
   std::unique_ptr<FdtdSlabPartition<Real>> FieldPartition; ///< FDTD only
   std::unique_ptr<minisycl::queue> Queue;
-  std::vector<Vector3<Real>> OldPositions;
-  std::vector<Vector3<Real>> NewPositions;
+  std::vector<Vector3<Real>, AlignedAllocator<Vector3<Real>>> OldPositions;
+  std::vector<Vector3<Real>, AlignedAllocator<Vector3<Real>>> NewPositions;
   RunStats PushTiming;
   RunStats DepositTiming;
   RunStats FieldTiming;

@@ -177,8 +177,8 @@ public:
   const GridWindow &window() const { return Window_; }
 
   /// Total lattice elements zeroed by shifts so far — 9 lattices times
-  /// the shifted planes, never O(Nx) per shift (bench_pic_window's
-  /// shift-cost assertion reads this).
+  /// the shifted planes, never O(Nx) per shift
+  /// (MovingWindowTest.ShiftCostIsPerPlaneIndependentOfNx reads this).
   std::size_t shiftTouchedElems() const { return ShiftTouchedElems_; }
 
   /// Advances the window by \p Planes x-planes along +x: the trailing

@@ -23,7 +23,20 @@
 #include <cstddef>
 #include <cstdlib>
 
+#include <sys/mman.h>
+
 namespace hichi {
+
+/// Blocks of at least this many bytes (glibc's initial mmap threshold)
+/// are mapped directly and unmapped when freed. glibc raises its own
+/// threshold after the first large free and then places such blocks in
+/// the heap wherever other threads' frees left room, so peak RSS would
+/// vary from run to run by megabytes. Mapped memory is page aligned.
+constexpr std::size_t DirectMapBytes = std::size_t(128) << 10;
+
+inline bool isDirectMapped(std::size_t Bytes, std::size_t Alignment) {
+  return Bytes >= DirectMapBytes && Alignment <= 4096;
+}
 
 /// Allocates \p Bytes bytes aligned to \p Alignment (a power of two,
 /// multiple of sizeof(void*)). \returns nullptr only for Bytes == 0.
@@ -32,16 +45,31 @@ inline void *alignedAlloc(std::size_t Bytes,
   if (Bytes == 0)
     return nullptr;
   assert((Alignment & (Alignment - 1)) == 0 && "alignment not a power of two");
-  // std::aligned_alloc requires the size to be a multiple of the alignment.
-  std::size_t Rounded = (Bytes + Alignment - 1) / Alignment * Alignment;
-  void *P = std::aligned_alloc(Alignment, Rounded);
+  void *P = nullptr;
+  if (isDirectMapped(Bytes, Alignment)) {
+    P = mmap(nullptr, Bytes, PROT_READ | PROT_WRITE,
+             MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (P == MAP_FAILED)
+      P = nullptr;
+  } else {
+    // std::aligned_alloc requires the size to be a multiple of the alignment.
+    std::size_t Rounded = (Bytes + Alignment - 1) / Alignment * Alignment;
+    P = std::aligned_alloc(Alignment, Rounded);
+  }
   if (!P)
     fatalError("aligned allocation failed (out of memory)");
   return P;
 }
 
-/// Frees memory obtained from alignedAlloc. Null is a no-op.
-inline void alignedFree(void *P) { std::free(P); }
+/// Frees memory obtained from alignedAlloc(\p Bytes, \p Alignment).
+/// Null is a no-op.
+inline void alignedFree(void *P, std::size_t Bytes,
+                        std::size_t Alignment = HICHI_CACHELINE_SIZE) {
+  if (P && isDirectMapped(Bytes, Alignment))
+    munmap(P, Bytes);
+  else
+    std::free(P);
+}
 
 /// Minimal std-compatible allocator with fixed alignment; lets
 /// std::vector-based buffers share the aligned allocation policy.
@@ -57,7 +85,9 @@ public:
   T *allocate(std::size_t N) {
     return static_cast<T *>(alignedAlloc(N * sizeof(T), Alignment));
   }
-  void deallocate(T *P, std::size_t) { alignedFree(P); }
+  void deallocate(T *P, std::size_t N) {
+    alignedFree(P, N * sizeof(T), Alignment);
+  }
 
   template <typename U> struct rebind {
     using other = AlignedAllocator<U, Alignment>;

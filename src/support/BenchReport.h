@@ -7,7 +7,7 @@
 /// \file
 /// Machine-readable benchmark results (the SNIPPETS report format:
 /// per-run JSON with per-iteration samples and summary statistics, for
-/// plotting and trend tracking across commits). Shared by the bench
+/// plotting and archiving as CI artifacts). Shared by the bench
 /// harness and the hichi_push CLI, hence under src/ rather than bench/.
 ///
 //===----------------------------------------------------------------------===//
@@ -52,7 +52,7 @@ struct MeasuredSeries {
 struct BenchRecord {
   std::string Bench;    ///< bench/tool name, e.g. "hichi_push"
   std::string Backend;  ///< exec registry name
-  std::string Stage = "push"; ///< PIC stage measured: "push" | "deposit" | "step"
+  std::string Stage = "push"; ///< "push", or bench_serve's "serve" | "latency"
   std::string Scenario; ///< "analytical" | "precalculated" | custom
   std::string Layout;   ///< "aos" | "soa"
   std::string Precision;///< "float" | "double"
@@ -63,7 +63,6 @@ struct BenchRecord {
   int Threads = 0; ///< 0 = all
   /// Submission shape the measured stage used: "mega-kernel" (blocking
   /// fused launches) or "event-chain" (non-blocking chained submits).
-  /// Part of the configuration identity for trend comparison.
   std::string Submit = "mega-kernel";
   double MedianNs = 0, MinNs = 0, MaxNs = 0;
   double Nsps = 0;
@@ -91,12 +90,6 @@ public:
 
   bool empty() const { return Records.empty(); }
 
-  /// Embeds the autotuner's one-line chosen-knob report as the
-  /// document's optional "tune" key (benches set it under
-  /// HICHI_BENCH_TUNE so archived records say what knob assignment
-  /// produced them). Empty = key omitted.
-  void setTune(std::string TuneLine) { Tune = std::move(TuneLine); }
-
   /// Writes the report to \p Path. \returns false on I/O failure.
   bool writeFile(const std::string &Path) const {
     std::FILE *F = std::fopen(Path.c_str(), "w");
@@ -106,8 +99,6 @@ public:
     std::fprintf(F, "  \"bench\": \"%s\",\n", escaped(Bench).c_str());
     std::fprintf(F, "  \"host_hardware_threads\": %u,\n",
                  std::thread::hardware_concurrency());
-    if (!Tune.empty())
-      std::fprintf(F, "  \"tune\": \"%s\",\n", escaped(Tune).c_str());
     std::fprintf(F, "  \"results\": [\n");
     for (std::size_t I = 0; I < Records.size(); ++I) {
       const BenchRecord &R = Records[I];
@@ -158,7 +149,6 @@ private:
   }
 
   std::string Bench;
-  std::string Tune; ///< optional "tune" key (setTune)
   std::vector<BenchRecord> Records;
 };
 

@@ -8,7 +8,9 @@
 
 #include "support/EnvVar.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <string>
 #include <thread>
 
 using namespace hichi;
@@ -26,4 +28,22 @@ CpuTopology CpuTopology::detect() {
   if (Hw == 0)
     Hw = 1;
   return CpuTopology(/*Domains=*/1, /*CoresPerDomain=*/int(Hw));
+}
+
+int CpuTopology::physicalCoreCount() {
+  const int Hw = std::max(1, int(std::thread::hardware_concurrency()));
+  int Cores = 0;
+  for (int Cpu = 0; Cpu < Hw; ++Cpu) {
+    const std::string Path = "/sys/devices/system/cpu/cpu" +
+                             std::to_string(Cpu) +
+                             "/topology/thread_siblings_list";
+    int First = Cpu;
+    if (std::FILE *F = std::fopen(Path.c_str(), "r")) {
+      if (std::fscanf(F, "%d", &First) != 1)
+        First = Cpu;
+      std::fclose(F);
+    }
+    Cores += First == Cpu;
+  }
+  return std::max(1, Cores);
 }

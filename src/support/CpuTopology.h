@@ -43,6 +43,13 @@ public:
   /// ("<domains>x<coresPerDomain>", e.g. "2x24" for the paper's node).
   static CpuTopology detect();
 
+  /// \returns the host's physical core count: the logical CPUs that are
+  /// the first hardware thread of their core (Linux sysfs
+  /// thread_siblings_list). A CPU whose siblings cannot be read counts as
+  /// its own core, so without sysfs this is hardware_concurrency.
+  /// Ignores HICHI_TOPOLOGY, which describes domains, not SMT.
+  static int physicalCoreCount();
+
   /// The paper's CPU node: 2 sockets x 24 cores (Table 1).
   static CpuTopology paperNode() { return CpuTopology(2, 24); }
 

@@ -127,18 +127,6 @@ TEST(EnsembleOpsTest, RemoveIfOnSoAAndEmptyResult) {
   EXPECT_EQ(removeIf(P, [](const auto &) { return true; }), 0);
 }
 
-TEST(EnsembleOpsTest, ApplyPermutationReverses) {
-  ParticleArraySoA<double> P(5);
-  for (int I = 0; I < 5; ++I) {
-    ParticleT<double> Particle;
-    Particle.Weight = double(I);
-    P.pushBack(Particle);
-  }
-  applyPermutation(P, {4, 3, 2, 1, 0});
-  for (Index I = 0; I < 5; ++I)
-    EXPECT_DOUBLE_EQ(P[I].weight(), double(4 - I));
-}
-
 //===----------------------------------------------------------------------===//
 // Checkpoint
 //===----------------------------------------------------------------------===//

@@ -155,6 +155,28 @@ TEST(CalibrationTest, StagePredictionsScaleUntilBandwidthSaturates) {
     EXPECT_GT(Four.MemoryNs, One.MemoryNs / 4.0);
 }
 
+TEST(CalibrationTest, SaturatedFmaBelowSevenTenthsOfIdealIsImplausible) {
+  MachineProfile P;
+  P.Threads = 4;
+  P.FmaFlopsPerCore = 5.0e9;
+  P.FmaFlopsSaturated = 21.0e9; // near-linear scaling
+  EXPECT_TRUE(Calibration::saturatedFmaPlausible(P, 4));
+  P.FmaFlopsSaturated = 0.7 * 4 * 5.0e9; // the boundary is accepted
+  EXPECT_TRUE(Calibration::saturatedFmaPlausible(P, 4));
+  P.FmaFlopsSaturated = 5.59e9; // barely above one core: a lost worker
+  EXPECT_FALSE(Calibration::saturatedFmaPlausible(P, 4));
+  P.Threads = 1; // fewer threads than cores: the threads set the ideal
+  EXPECT_TRUE(Calibration::saturatedFmaPlausible(P, 4));
+  P.FmaFlopsSaturated = 3.0e9;
+  EXPECT_FALSE(Calibration::saturatedFmaPlausible(P, 4));
+  // 8 logical CPUs on 4 two-way SMT cores: the siblings share each
+  // core's FMA units, so about 4 one-core rates is all the host gives.
+  P.Threads = 8;
+  P.FmaFlopsSaturated = 20.0e9;
+  EXPECT_TRUE(Calibration::saturatedFmaPlausible(P, 4));
+  EXPECT_FALSE(Calibration::saturatedFmaPlausible(P, 8));
+}
+
 TEST(CalibrationTest, BoundedMeasurementProducesASaneProfile) {
   // An ultra-small real measurement: sanity of the machinery, not of
   // the numbers (CI hosts are noisy; the profile only has to be

@@ -25,6 +25,9 @@
 ///  - each shift invalidates the captured step graph exactly once:
 ///    captures == 1 + shifts-before-the-last-step, everything else
 ///    replays;
+///  - a shift costs O(shifted planes), not O(Nx): the ring storage
+///    re-labels planes in place, so a run's shifts zero exactly
+///    9 lattices x Ny x Nz elements per shifted plane at any Nx;
 ///  - the spectral solver refuses moving-window configs up front
 ///    (global FFTs cannot address a ring window).
 ///
@@ -55,14 +58,17 @@ struct WindowRun {
   long long Captures = 0;
   long long Replays = 0;
   Index Live = 0;
+  Index ShiftedPlanes = 0;
+  std::size_t ShiftTouchedElems = 0;
 };
 
-/// 60 steps of the pulse-tracking moving-window scenario with every
-/// stage on \p Backend.
+/// 60 steps of the pulse-tracking moving-window scenario on an \p N
+/// window with every stage on \p Backend.
 template <typename Array = ParticleArrayAoS<double>>
 WindowRun runWindowScenario(const std::string &Backend, int Threads,
-                            bool UseGraph, double RebalanceThreshold) {
-  const ScenarioSetup<double> S = makeMovingWindowScenario<double>({64, 4, 4});
+                            bool UseGraph, double RebalanceThreshold,
+                            GridSize N = {64, 4, 4}) {
+  const ScenarioSetup<double> S = makeMovingWindowScenario<double>(N);
   PicOptions<double> Options;
   Options.LightVelocity = 1.0;
   Options.SortEveryNSteps = 20;
@@ -89,6 +95,8 @@ WindowRun runWindowScenario(const std::string &Backend, int Threads,
   Out.Captures = Sim.graphCaptureCount();
   Out.Replays = Sim.graphReplayCount();
   Out.Live = Sim.particles().size();
+  Out.ShiftedPlanes = Sim.windowOriginPlanes();
+  Out.ShiftTouchedElems = Sim.grid().shiftTouchedElems();
   return Out;
 }
 
@@ -292,6 +300,30 @@ TEST(MovingWindowTest, ExactlyOneGraphRecapturePerShift) {
   ASSERT_GT(Sim.windowShiftCount(), 0);
   EXPECT_EQ(Sim.graphCaptureCount(), 1 + ShiftsBeforeLastStep);
   EXPECT_EQ(Sim.graphReplayCount(), Steps - Sim.graphCaptureCount());
+}
+
+//===----------------------------------------------------------------------===//
+// Shift cost: O(shifted planes), independent of Nx
+//===----------------------------------------------------------------------===//
+
+TEST(MovingWindowTest, ShiftCostIsPerPlaneIndependentOfNx) {
+  // A shift zeroes the retired plane of each of the 9 lattices for
+  // reuse at the leading edge and writes nothing else. Storage that
+  // memmoved the interior would tally a term that grows with Nx, so the
+  // per-plane cost must equal 9 x Ny x Nz at both window lengths.
+  const std::size_t PlaneCost = 9 * 8 * 8;
+  for (int Shards : {0, 4}) {
+    const char *Backend = Shards > 0 ? "sharded" : "serial";
+    for (Index Nx : {64, 32}) {
+      const WindowRun Run = runWindowScenario(
+          Backend, Shards, /*UseGraph=*/false, /*Rebalance=*/0.0, {Nx, 8, 8});
+      ASSERT_GT(Run.Shifts, 0) << Backend << " Nx=" << Nx;
+      EXPECT_EQ(Run.ShiftTouchedElems,
+                PlaneCost * std::size_t(Run.ShiftedPlanes))
+          << Backend << " Nx=" << Nx;
+      EXPECT_EQ(Run.Retired, Run.Injected) << Backend << " Nx=" << Nx;
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

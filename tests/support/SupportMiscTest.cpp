@@ -13,9 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace hichi;
@@ -138,17 +140,21 @@ TEST(NspsTest, MatchesThePaperDefinition) {
 //===----------------------------------------------------------------------===//
 
 TEST(AlignedAllocTest, ReturnsAlignedPointers) {
-  for (std::size_t Bytes : {1u, 63u, 64u, 100u, 4096u}) {
+  // The last two sizes sit either side of DirectMapBytes.
+  for (std::size_t Bytes : {std::size_t(1), std::size_t(63), std::size_t(64),
+                            std::size_t(100), std::size_t(4096),
+                            DirectMapBytes - 1, DirectMapBytes}) {
     void *P = alignedAlloc(Bytes);
     ASSERT_NE(P, nullptr);
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(P) % HICHI_CACHELINE_SIZE, 0u);
-    alignedFree(P);
+    static_cast<char *>(P)[Bytes - 1] = 1; // the whole block is writable
+    alignedFree(P, Bytes);
   }
 }
 
 TEST(AlignedAllocTest, ZeroBytesGivesNull) {
   EXPECT_EQ(alignedAlloc(0), nullptr);
-  alignedFree(nullptr); // must be a no-op
+  alignedFree(nullptr, 0); // must be a no-op
 }
 
 TEST(AlignedAllocatorTest, WorksWithStdVector) {
@@ -272,6 +278,15 @@ TEST(CpuTopologyTest, DetectSurvivesMalformedOverride) {
   auto T = CpuTopology::detect();
   EXPECT_GE(T.coreCount(), 1);
   ::unsetenv("HICHI_TOPOLOGY");
+}
+
+TEST(CpuTopologyTest, PhysicalCoresNeverExceedLogicalCpus) {
+  // SMT siblings fold into one core; the override does not apply.
+  ::setenv("HICHI_TOPOLOGY", "2x24", 1);
+  const int Cores = CpuTopology::physicalCoreCount();
+  ::unsetenv("HICHI_TOPOLOGY");
+  EXPECT_GE(Cores, 1);
+  EXPECT_LE(Cores, std::max(1, int(std::thread::hardware_concurrency())));
 }
 
 } // namespace

@@ -178,7 +178,7 @@ int runBenchmark(const Config &Cfg) {
     R.Iterations = Cfg.Iterations;
     // The chained shape submits single steps — record fuse as what
     // actually ran, and the submission mode as its own dimension, so
-    // chained and mega-kernel runs never collide in trend comparisons.
+    // chained and mega-kernel records never collide.
     R.FuseSteps = Chained || Cfg.Graph ? 1 : Cfg.FuseSteps;
     R.Submit = Cfg.Graph ? "graph" : Chained ? "event-chain" : "mega-kernel";
     R.Threads = Cfg.Threads;
