@@ -15,6 +15,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Core.h"
+#include "exec/BackendRegistry.h"
+#include "exec/StepLoop.h"
 #include "fields/DipoleWave.h"
 #include "perfmodel/WorkloadModel.h"
 

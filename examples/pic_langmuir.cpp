@@ -15,7 +15,8 @@
 /// All three backend-parallel PIC stages are configurable from the
 /// command line, and the final state hash is backend-independent — swap
 /// --push-backend / --deposit-backend / --field-backend (or any tile
-/// knob) and the hash must not move (ci/run.sh checks exactly that):
+/// knob) and the hash must not move (the `cli_*` hash rows in
+/// CMakeLists.txt pin exactly that):
 ///
 /// \code
 ///   pic_langmuir --push-backend dpcpp --deposit-backend openmp
@@ -28,6 +29,7 @@
 
 #include "pic/Diagnostics.h"
 #include "pic/PicSimulation.h"
+#include "pic/Scenarios.h"
 #include "support/ArgParse.h"
 
 #include <cstdio>
@@ -91,8 +93,9 @@ int main(int Argc, char **Argv) {
                  "run continues from the saved step index and must land on "
                  "the same final state hash as an uninterrupted run",
                  "");
-  Args.addFlag("graph", "capture the five-stage step's launch DAG on the "
-                        "first step and replay it on every later one "
+  Args.addFlag("graph", "capture the step's launch DAG (stage 1, the J "
+                        "clear, the deposit chain and the field chain) on "
+                        "the first step and replay it on every later one "
                         "(bit-identical; see exec/StepGraph.h)");
   Args.addFlag("tune",
                "pick backend/thread/tile knobs from the host's measured "
@@ -123,15 +126,15 @@ int main(int Argc, char **Argv) {
     return 0;
   }
 
-  // Natural units (c = m = |e| = 1); weight chosen so omega_p = 1.
-  const GridSize N{32, 4, 4};
-  const Vector3<double> Step(0.5, 0.5, 0.5);
-  const double BoxLength = double(N.Nx) * Step.X;
-  const double Volume = BoxLength * 2.0 * 2.0;
+  // Natural units (c = m = |e| = 1): the sinusoidally perturbed cold
+  // ensemble (pic/Scenarios.h) with the weight that makes omega_p = 1,
+  // seeded into the real run and into the autotuner's trial runs below.
+  // Its grid, step and species table are the simulation's.
   const int PerCell = 4;
-  const Index NumParticles = N.count() * PerCell;
-  const double Weight =
-      Volume / (4.0 * constants::Pi * double(NumParticles));
+  const ScenarioSetup<double> Langmuir =
+      makeLangmuirScenario<double>({32, 4, 4}, PerCell, 0.0);
+  const GridSize N = Langmuir.Grid;
+  const Index NumParticles = Index(Langmuir.Particles.size());
 
   PicOptions<double> Options;
   Options.LightVelocity = 1.0;
@@ -176,7 +179,7 @@ int main(int Argc, char **Argv) {
     Options.MovingWindow.Speed = Args.getDouble("window-speed").value_or(1.0);
     Options.MovingWindow.InjectPerCell = PerCell;
     Options.MovingWindow.InjectType = short(PS_Electron);
-    Options.MovingWindow.InjectWeight = Weight;
+    Options.MovingWindow.InjectWeight = Langmuir.Particles.front().Weight;
   }
   const std::string SolverName = Args.getString("solver");
   if (SolverName == "spectral") {
@@ -186,36 +189,12 @@ int main(int Argc, char **Argv) {
                  SolverName.c_str());
     return 1;
   }
-  // The sinusoidally perturbed cold ensemble, seedable into any
-  // simulation instance (the autotuner's measured trials below run it on
-  // scratch instances before the real run does).
-  const double V0 = 0.02;
-  const double K = 2.0 * constants::Pi / BoxLength;
-  auto seedEnsemble = [&](PicSimulation<double> &S) {
-    for (Index C = 0; C < N.count(); ++C) {
-      Index I = C / (N.Ny * N.Nz);
-      Index J = (C / N.Nz) % N.Ny;
-      Index K3 = C % N.Nz;
-      for (int P = 0; P < PerCell; ++P) {
-        ParticleT<double> Particle;
-        Particle.Position = {(double(I) + (P + 0.5) / PerCell) * Step.X,
-                             (double(J) + 0.5) * Step.Y,
-                             (double(K3) + 0.5) * Step.Z};
-        double Vx = V0 * std::sin(K * Particle.Position.X);
-        Particle.Momentum = {Vx / std::sqrt(1 - Vx * Vx), 0, 0};
-        Particle.Weight = Weight;
-        Particle.Type = PS_Electron;
-        S.addParticle(Particle);
-      }
-    }
-  };
-
   // --tune fills every knob whose flag was not given explicitly from the
   // autotuner plan (same precedence rule as --shards: explicit flags
   // win), optionally refined by short measured trial runs. Every tuned
   // knob is hash-invariant, so the final hash below must still equal the
-  // serial reference — ci/run.sh includes a --tune row in its
-  // cross-backend hash gate.
+  // serial reference — a --tune row sits among the CLI hash rows in
+  // CMakeLists.txt.
   if (Args.getFlag("tune")) {
     auto applyPlan = [&](PicOptions<double> &O, const exec::TunePlan &Plan) {
       if (!Args.seen("push-backend"))
@@ -247,10 +226,10 @@ int main(int Argc, char **Argv) {
           [&](const exec::TunePlan &Candidate) {
             PicOptions<double> TrialOptions = Options;
             applyPlan(TrialOptions, Candidate);
-            PicSimulation<double> Trial(N, {0, 0, 0}, Step, NumParticles,
-                                        ParticleTypeTable<double>::natural(),
+            PicSimulation<double> Trial(N, Langmuir.Origin, Langmuir.Step,
+                                        NumParticles, Langmuir.Types,
                                         TrialOptions);
-            seedEnsemble(Trial);
+            seedScenario(Trial, Langmuir);
             for (int S = 0; S < TrialSteps; ++S)
               Trial.step();
             // The whole step wall, so a graph-mode candidate (whose
@@ -278,9 +257,9 @@ int main(int Argc, char **Argv) {
       Options.MovingWindow.Enabled
           ? NumParticles + Index(4) * N.Ny * N.Nz * Index(PerCell)
           : NumParticles;
-  PicSimulation<double> Sim(N, {0, 0, 0}, Step, Capacity,
-                            ParticleTypeTable<double>::natural(), Options);
-  seedEnsemble(Sim);
+  PicSimulation<double> Sim(N, Langmuir.Origin, Langmuir.Step, Capacity,
+                            Langmuir.Types, Options);
+  seedScenario(Sim, Langmuir);
 
   std::printf("Cold Langmuir oscillation: %lld macro-electrons on a "
               "%lldx%lldx%lld grid, omega_p = 1\n\n",
@@ -298,7 +277,7 @@ int main(int Argc, char **Argv) {
   // --restore replaces the seeded initial state with a checkpoint and
   // continues from its saved step index — so N steps + save + restore +
   // N steps prints the same final hash as 2N uninterrupted steps
-  // (ci/run.sh gates on exactly that).
+  // (a ctest fixture pair in CMakeLists.txt gates on exactly that).
   const std::string RestoreFile = Args.getString("restore");
   const std::string CheckpointFile = Args.getString("checkpoint-file");
   const int CheckpointEvery =

@@ -11,8 +11,8 @@
 /// two-species plasma, and the density-gradient ensemble streaming into
 /// an absorbing/open x boundary. Prints the scenario's physics
 /// observable against its closed-form expectation, the occupancy-skew /
-/// rebalance trace, and the grep-able final state hash ci/run.sh uses
-/// for its cross-backend equivalence loops:
+/// rebalance trace, and the final state hash the CLI hash rows in
+/// CMakeLists.txt pin across backends and shard counts:
 ///
 /// \code
 ///   pic_scenarios --scenario drifting-slab --shards 4 --rebalance 1.3

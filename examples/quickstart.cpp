@@ -13,6 +13,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Core.h"
+#include "exec/BackendRegistry.h"
+#include "exec/StepLoop.h"
 
 #include <cstdio>
 

@@ -6,8 +6,9 @@
 ///
 /// \file
 /// Umbrella header for the particle/pusher core: include this to get
-/// particles, ensembles (AoS/SoA), the Boris/Vay/Higuera-Cary pushers and
-/// the execution strategies.
+/// particles, ensembles (AoS/SoA) and the Boris/Vay/Higuera-Cary
+/// pushers. The execution backends that run them live in src/exec/
+/// (exec/BackendRegistry.h, exec/StepLoop.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,7 +24,6 @@
 #include "core/Particle.h"
 #include "core/ParticleArray.h"
 #include "core/ParticleTypes.h"
-#include "core/PusherRunner.h"
 #include "core/Trajectory.h"
 
 #endif // HICHI_CORE_CORE_H

@@ -70,7 +70,8 @@ struct StagePlan {
   bool MemoryBound = false;
 };
 
-/// A complete knob assignment for the five-stage PIC step.
+/// A complete knob assignment for the PIC step: stage 1, the J clear,
+/// the deposit chain and the field chain.
 struct TunePlan {
   StagePlan Push, Deposit, Field;
 

@@ -74,8 +74,8 @@ namespace gpusim {
 struct KernelProfile;
 } // namespace gpusim
 
-/// Aggregate timing of a sequence of backend launches (one runSimulation /
-/// runStepLoop call).
+/// Aggregate timing of a sequence of backend launches (one runStepLoop
+/// call, or one PIC stage over a run).
 struct RunStats {
   double HostNs = 0;    ///< wall time spent in kernels on this host
   double ModeledNs = 0; ///< gpusim-modeled time (== HostNs on CPU paths)

@@ -131,8 +131,8 @@ private:
 };
 
 /// Pushes every particle of a cell-list ensemble one step and migrates.
-/// Mirrors runSimulation's per-particle body so the two storage schemes
-/// run the identical kernel.
+/// Mirrors exec::runStepLoop's per-particle body so the two storage
+/// schemes run the identical kernel.
 template <typename Pusher = BorisPusher, typename Real, typename FieldFn>
 Index pushCellList(CellListEnsemble<Real> &Ensemble, const FieldFn &Fields,
                    const ParticleTypeTable<Real> &Types, Real Dt, Real Time,

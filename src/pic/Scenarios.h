@@ -5,11 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Canned PIC scenarios beyond the uniform Langmuir ensemble — the
-/// workloads that create the occupancy skew the rebalancer
-/// (pic/Rebalancer.h) exists for, and that carry closed-form physics
-/// the validation suite (tests/pic/ScenarioPhysicsTest.cpp) checks:
+/// Canned PIC scenarios: the uniform Langmuir ensemble the golden hash
+/// and the equivalence matrix run, plus the workloads that create the
+/// occupancy skew the rebalancer (pic/Rebalancer.h) exists for, and that
+/// carry closed-form physics the validation suite
+/// (tests/pic/ScenarioPhysicsTest.cpp) checks:
 ///
+///  - langmuir: a cold uniform electron plasma with a sinusoidal
+///    velocity perturbation at the box's fundamental mode; it oscillates
+///    at the plasma frequency the particle weight sets
+///    (examples/pic_langmuir.cpp, tests/pic/EquivalenceMatrixTest.cpp).
 ///  - drifting-slab: a charge-neutral electron–positron pair slab
 ///    confined to a fraction of the box, drifting along x. Pairs are
 ///    co-located and array-adjacent, so their current contributions
@@ -100,6 +105,47 @@ void seedScenario(Sim &Simulation, const ScenarioSetup<Real> &S) {
     Simulation.addParticle(P);
   if (S.SeedFields)
     S.SeedFields(Simulation.grid());
+}
+
+/// The cold Langmuir ensemble (see file header): \p PerCell electrons
+/// per cell, evenly spaced along x, with v_x = \p Amplitude sin(k x) at
+/// k = 2 pi / L. \p Weight sets the plasma frequency: the equivalence
+/// matrix uses a fixed 0.05; 0 picks the weight that makes omega_p = 1
+/// (4 pi n = 1 in natural units) on the scenario's box, as pic_langmuir,
+/// the served jobs and the physics tests do. The seeding expressions and
+/// the default amplitude are part of the golden hash.
+template <typename Real>
+ScenarioSetup<Real> makeLangmuirScenario(GridSize N, int PerCell,
+                                         Real Weight,
+                                         Real Amplitude = Real(0.02)) {
+  ScenarioSetup<Real> S;
+  S.Name = "langmuir";
+  S.Grid = N;
+  if (Weight == Real(0)) {
+    const Real Volume = Real(N.Nx) * S.Step.X * (Real(N.Ny) * S.Step.Y) *
+                        (Real(N.Nz) * S.Step.Z);
+    Weight = Volume / (Real(4) * Real(constants::Pi) *
+                       Real(N.count() * Index(PerCell)));
+  }
+  const Real V0 = Amplitude;
+  const Real K = Real(2) * Real(constants::Pi) / (Real(N.Nx) * S.Step.X);
+  for (Index C = 0; C < N.count(); ++C) {
+    const Index I = C / (N.Ny * N.Nz);
+    const Index J = (C / N.Nz) % N.Ny;
+    const Index L = C % N.Nz;
+    for (int P = 0; P < PerCell; ++P) {
+      ParticleT<Real> Part;
+      Part.Position = {(Real(I) + Real(P + 0.5) / Real(PerCell)) * S.Step.X,
+                       (Real(J) + Real(0.5)) * S.Step.Y,
+                       (Real(L) + Real(0.5)) * S.Step.Z};
+      const Real Vx = V0 * std::sin(K * Part.Position.X);
+      Part.Momentum = {Vx / std::sqrt(Real(1) - Vx * Vx), Real(0), Real(0)};
+      Part.Weight = Weight;
+      Part.Type = PS_Electron;
+      S.Particles.push_back(Part);
+    }
+  }
+  return S;
 }
 
 /// The drifting neutral pair slab (see file header): \p PairsPerCell

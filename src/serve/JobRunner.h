@@ -26,9 +26,9 @@
 
 #include "pic/Diagnostics.h"
 #include "pic/PicSimulation.h"
+#include "pic/Scenarios.h"
 #include "serve/JobSpec.h"
 
-#include <cmath>
 #include <memory>
 #include <string>
 
@@ -46,14 +46,10 @@ using Simulation = pic::PicSimulation<double>;
 inline std::unique_ptr<Simulation> makeSimulation(const JobSpec &Spec,
                                                   const std::string &Backend,
                                                   int Threads = 0) {
-  const GridSize N{Index(Spec.Nx), Index(Spec.Ny), Index(Spec.Nz)};
-  const Vector3<double> Step(0.5, 0.5, 0.5);
-  const double BoxLength = double(N.Nx) * Step.X;
-  const double Volume = BoxLength * (double(N.Ny) * Step.Y) *
-                        (double(N.Nz) * Step.Z);
-  const Index NumParticles = N.count() * Spec.PerCell;
-  const double Weight =
-      Volume / (4.0 * constants::Pi * double(NumParticles));
+  // The cold Langmuir seed, omega_p = 1 (pic/Scenarios.h).
+  const pic::ScenarioSetup<double> S = pic::makeLangmuirScenario<double>(
+      {Index(Spec.Nx), Index(Spec.Ny), Index(Spec.Nz)}, Spec.PerCell, 0.0,
+      Spec.Amplitude);
 
   pic::PicOptions<double> Options;
   Options.LightVelocity = 1.0;
@@ -68,30 +64,10 @@ inline std::unique_ptr<Simulation> makeSimulation(const JobSpec &Spec,
   Options.Solver = Spec.Solver == "spectral" ? pic::FieldSolverKind::Spectral
                                              : pic::FieldSolverKind::Fdtd;
 
-  auto Sim = std::make_unique<Simulation>(
-      N, Vector3<double>(0, 0, 0), Step, NumParticles,
-      ParticleTypeTable<double>::natural(), Options);
-
-  // The cold Langmuir seed: uniform electrons, sinusoidal velocity
-  // perturbation along x (omega_p = 1 by the weight choice above).
-  const double V0 = Spec.Amplitude;
-  const double K = 2.0 * constants::Pi / BoxLength;
-  for (Index C = 0; C < N.count(); ++C) {
-    const Index I = C / (N.Ny * N.Nz);
-    const Index J = (C / N.Nz) % N.Ny;
-    const Index K3 = C % N.Nz;
-    for (int P = 0; P < Spec.PerCell; ++P) {
-      ParticleT<double> Particle;
-      Particle.Position = {(double(I) + (P + 0.5) / Spec.PerCell) * Step.X,
-                           (double(J) + 0.5) * Step.Y,
-                           (double(K3) + 0.5) * Step.Z};
-      const double Vx = V0 * std::sin(K * Particle.Position.X);
-      Particle.Momentum = {Vx / std::sqrt(1 - Vx * Vx), 0, 0};
-      Particle.Weight = Weight;
-      Particle.Type = PS_Electron;
-      Sim->addParticle(Particle);
-    }
-  }
+  auto Sim = std::make_unique<Simulation>(S.Grid, S.Origin, S.Step,
+                                          Index(S.Particles.size()), S.Types,
+                                          Options);
+  pic::seedScenario(*Sim, S);
   return Sim;
 }
 

@@ -7,9 +7,10 @@
 // The checkpoint contracts: layout-independent round trips (an AoS
 // ensemble restores bitwise into an SoA one and back), full-state (v2)
 // round trips preserving step index / time / field bits, and damage
-// rejection — truncated files, foreign magic, wrong scalar width, and
-// version confusion all fail with a one-line reason instead of
-// crashing or silently mis-restoring.
+// rejection — truncated files (v1, v2 and v3 files cut at every byte
+// offset), foreign magic, wrong scalar width, and version confusion
+// all fail with a one-line reason instead of crashing or silently
+// mis-restoring.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +21,11 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <functional>
+#include <iterator>
+#include <string>
+#include <utility>
+#include <vector>
 
 using namespace hichi;
 
@@ -67,6 +73,47 @@ void expectBitwiseEqual(const A &Lhs, const B &Rhs) {
   }
 }
 
+/// Hand-writes a genuine v2 full-state file (header + state header +
+/// particles + one field, no window block), as pre-window builds did.
+template <typename Array>
+bool writeLegacyV2(const std::string &Path, const Array &Saved,
+                   std::int64_t StepIndex, double Time,
+                   const std::vector<double> &Field) {
+  using namespace checkpoint_detail;
+  std::FILE *File = std::fopen(Path.c_str(), "wb");
+  if (!File)
+    return false;
+  Header Head;
+  Head.Version = StateVersionV2;
+  Head.ScalarBytes = sizeof(double);
+  Head.Count = Saved.size();
+  StateHeader State;
+  State.StepIndex = StepIndex;
+  State.Time = Time;
+  State.FieldCount = 1;
+  const std::int64_t Count = std::int64_t(Field.size());
+  const bool Ok =
+      std::fwrite(&Head, sizeof(Head), 1, File) == 1 &&
+      std::fwrite(&State, sizeof(State), 1, File) == 1 &&
+      writeParticles(File, Saved) &&
+      std::fwrite(&Count, sizeof(Count), 1, File) == 1 &&
+      std::fwrite(Field.data(), sizeof(double), Field.size(), File) ==
+          Field.size();
+  return std::fclose(File) == 0 && Ok;
+}
+
+std::vector<char> readBytes(const std::string &Path) {
+  std::vector<char> Bytes;
+  if (std::FILE *File = std::fopen(Path.c_str(), "rb")) {
+    char Buffer[256];
+    std::size_t Got;
+    while ((Got = std::fread(Buffer, 1, sizeof(Buffer), File)) > 0)
+      Bytes.insert(Bytes.end(), Buffer, Buffer + Got);
+    std::fclose(File);
+  }
+  return Bytes;
+}
+
 TEST(CheckpointTest, AosToSoaBitwiseRoundTrip) {
   const std::string Path = tempPath("ckpt_aos_soa.ckpt");
   ParticleArrayAoS<double> Saved(32);
@@ -107,38 +154,6 @@ TEST(CheckpointTest, ScalarWidthMismatchRejected) {
   EXPECT_NE(Error.find("scalar width mismatch"), std::string::npos) << Error;
   EXPECT_NE(Error.find("8-byte"), std::string::npos) << Error;
   EXPECT_NE(Error.find("4-byte"), std::string::npos) << Error;
-  std::remove(Path.c_str());
-}
-
-TEST(CheckpointTest, TruncatedFileRejected) {
-  const std::string Path = tempPath("ckpt_trunc.ckpt");
-  ParticleArrayAoS<double> Saved(8);
-  seedAwkwardParticles(Saved, 8);
-  ASSERT_TRUE(saveCheckpoint(Saved, Path));
-
-  // Rewrite the file keeping the header and only part of the records.
-  std::FILE *File = std::fopen(Path.c_str(), "rb");
-  ASSERT_NE(File, nullptr);
-  char Buffer[128];
-  const std::size_t Kept = std::fread(Buffer, 1, sizeof(Buffer), File);
-  std::fclose(File);
-  File = std::fopen(Path.c_str(), "wb");
-  ASSERT_NE(File, nullptr);
-  ASSERT_EQ(std::fwrite(Buffer, 1, Kept, File), Kept);
-  std::fclose(File);
-
-  ParticleArrayAoS<double> Restored(8);
-  std::string Error;
-  EXPECT_FALSE(loadCheckpoint(Restored, Path, &Error));
-  EXPECT_NE(Error.find("truncated checkpoint"), std::string::npos) << Error;
-
-  // Header alone truncated: a file shorter than 32 bytes.
-  File = std::fopen(Path.c_str(), "wb");
-  ASSERT_NE(File, nullptr);
-  ASSERT_EQ(std::fwrite(Buffer, 1, 10, File), std::size_t(10));
-  std::fclose(File);
-  EXPECT_FALSE(loadCheckpoint(Restored, Path, &Error));
-  EXPECT_NE(Error.find("header incomplete"), std::string::npos) << Error;
   std::remove(Path.c_str());
 }
 
@@ -265,21 +280,6 @@ TEST(CheckpointTest, WindowBlockRoundTripV3) {
       << Error;
   expectBitwiseEqual(Saved, Restored);
 
-  // A v3 file cut right after the state header fails with the window
-  // named, not a garbage read.
-  std::FILE *File = std::fopen(Path.c_str(), "rb");
-  ASSERT_NE(File, nullptr);
-  char Buffer[56]; // 32-byte header + 24-byte state header
-  ASSERT_EQ(std::fread(Buffer, 1, sizeof(Buffer), File), sizeof(Buffer));
-  std::fclose(File);
-  File = std::fopen(Path.c_str(), "wb");
-  ASSERT_NE(File, nullptr);
-  ASSERT_EQ(std::fwrite(Buffer, 1, sizeof(Buffer), File), sizeof(Buffer));
-  std::fclose(File);
-  EXPECT_FALSE(loadSimulationCheckpoint(Restored, StepIndex, Time, Loaded,
-                                        {{Out.data(), Index(Out.size())}},
-                                        Path, &Error));
-  EXPECT_NE(Error.find("window block missing"), std::string::npos) << Error;
   std::remove(Path.c_str());
 }
 
@@ -292,27 +292,8 @@ TEST(CheckpointTest, LegacyV2FileLoadsWithWindowAtRest) {
   seedAwkwardParticles(Saved, 5);
   std::vector<double> Field = {1.5, -2.5, 42.0};
 
-  {
-    using namespace checkpoint_detail;
-    std::FILE *File = std::fopen(Path.c_str(), "wb");
-    ASSERT_NE(File, nullptr);
-    Header Head;
-    Head.Version = StateVersionV2;
-    Head.ScalarBytes = sizeof(double);
-    Head.Count = Saved.size();
-    StateHeader State;
-    State.StepIndex = 9;
-    State.Time = 1.125;
-    State.FieldCount = 1;
-    ASSERT_EQ(std::fwrite(&Head, sizeof(Head), 1, File), std::size_t(1));
-    ASSERT_EQ(std::fwrite(&State, sizeof(State), 1, File), std::size_t(1));
-    ASSERT_TRUE(writeParticles(File, Saved));
-    const std::int64_t Count = std::int64_t(Field.size());
-    ASSERT_EQ(std::fwrite(&Count, sizeof(Count), 1, File), std::size_t(1));
-    ASSERT_EQ(std::fwrite(Field.data(), sizeof(double), Field.size(), File),
-              Field.size());
-    std::fclose(File);
-  }
+  ASSERT_TRUE(writeLegacyV2(Path, Saved, /*StepIndex=*/9, /*Time=*/1.125,
+                           Field));
 
   std::vector<double> Out(Field.size(), 0.0);
   ParticleArrayAoS<double> Restored(8);
@@ -334,6 +315,116 @@ TEST(CheckpointTest, LegacyV2FileLoadsWithWindowAtRest) {
                            Field.size() * sizeof(double)));
   expectBitwiseEqual(Saved, Restored);
   std::remove(Path.c_str());
+}
+
+/// Hostile input: a checkpoint cut at every byte offset, for the
+/// ensemble format (v1) and both full-state versions (v2, v3). Every
+/// prefix must be refused with a one-line reason naming the section the
+/// cut falls in, never crash, and leave the full-state step index
+/// untouched.
+TEST(CheckpointTest, EveryTruncationFailsCleanly) {
+  ParticleArrayAoS<double> Saved(4);
+  seedAwkwardParticles(Saved, 3);
+  const std::vector<double> Field = {std::sqrt(2.0), -0.5, 1e-9};
+  auto LoadState = [&](const std::string &Path, std::string *Error) {
+    ParticleArraySoA<double> Restored(4);
+    std::vector<double> Out(Field.size(), 0.0);
+    std::int64_t StepIndex = -1;
+    double Time = -1;
+    CheckpointWindow Window;
+    const bool Loaded = loadSimulationCheckpoint(
+        Restored, StepIndex, Time, Window, {{Out.data(), Index(Out.size())}},
+        Path, Error);
+    EXPECT_EQ(StepIndex, Loaded ? 5 : -1);
+    return Loaded;
+  };
+  // The file's sections in order: byte length and the reason a cut
+  // inside the section must give.
+  using Layout = std::vector<std::pair<std::size_t, std::string>>;
+  const std::size_t Record = 8 * sizeof(double) + sizeof(std::int16_t);
+  auto Sections = [&](bool FullState, bool WithWindow) {
+    Layout L = {{sizeof(checkpoint_detail::Header), "header incomplete"}};
+    if (FullState)
+      L.push_back({sizeof(checkpoint_detail::StateHeader),
+                   "state header missing"});
+    if (WithWindow)
+      L.push_back({sizeof(checkpoint_detail::WindowBlock),
+                   "window block missing"});
+    for (Index I = 0; I < Saved.size(); ++I)
+      L.push_back({Record, std::to_string(I) + " of " +
+                               std::to_string(Saved.size()) +
+                               " particle records present"});
+    if (FullState) {
+      L.push_back({sizeof(std::int64_t), "field 0 header missing"});
+      L.push_back({Field.size() * sizeof(double), "field 0 data incomplete"});
+    }
+    return L;
+  };
+  const struct {
+    const char *Version;
+    Layout Sections;
+    std::function<bool(const std::string &)> Write;
+    std::function<bool(const std::string &, std::string *)> Load;
+  } Versions[] = {
+      {"v1", Sections(false, false),
+       [&](const std::string &Path) { return saveCheckpoint(Saved, Path); },
+       [](const std::string &Path, std::string *Error) {
+         ParticleArraySoA<double> Restored(4);
+         return loadCheckpoint(Restored, Path, Error);
+       }},
+      {"v2", Sections(true, false),
+       [&](const std::string &Path) {
+         return writeLegacyV2(Path, Saved, 5, 0.25, Field);
+       },
+       LoadState},
+      {"v3", Sections(true, true),
+       [&](const std::string &Path) {
+         CheckpointWindow Window;
+         Window.OriginPlanes = 9;
+         Window.PhysBase = 1;
+         Window.ShiftCount = 9;
+         return saveSimulationCheckpoint(
+             Saved, 5, 0.25, Window, {{Field.data(), Index(Field.size())}},
+             Path);
+       },
+       LoadState},
+  };
+  const std::string Whole = tempPath("ckpt_whole.ckpt");
+  const std::string Cut = tempPath("ckpt_cut.ckpt");
+  for (const auto &V : Versions) {
+    ASSERT_TRUE(V.Write(Whole)) << V.Version;
+    const std::vector<char> Bytes = readBytes(Whole);
+    std::size_t LayoutBytes = 0;
+    for (const auto &S : V.Sections)
+      LayoutBytes += S.first;
+    ASSERT_EQ(LayoutBytes, Bytes.size()) << V.Version;
+    auto Section = V.Sections.begin();
+    std::size_t End = Section->first;
+    for (std::size_t Size = 0; Size <= Bytes.size(); ++Size) {
+      SCOPED_TRACE(std::string(V.Version) + " cut to " +
+                   std::to_string(Size) + " bytes");
+      while (Size >= End && std::next(Section) != V.Sections.end())
+        End += (++Section)->first;
+      std::FILE *File = std::fopen(Cut.c_str(), "wb");
+      ASSERT_NE(File, nullptr);
+      ASSERT_EQ(std::fwrite(Bytes.data(), 1, Size, File), Size);
+      std::fclose(File);
+      std::string Error;
+      const bool Loaded = V.Load(Cut, &Error);
+      if (Size == Bytes.size()) { // the whole file is the control
+        EXPECT_TRUE(Loaded) << Error;
+        continue;
+      }
+      EXPECT_FALSE(Loaded);
+      EXPECT_NE(Error.find("truncated checkpoint (" + Section->second +
+                           ")"),
+                std::string::npos)
+          << Error;
+      EXPECT_EQ(Error.find('\n'), std::string::npos) << Error;
+    }
+  }
+  std::remove(Whole.c_str());
+  std::remove(Cut.c_str());
 }
 
 } // namespace

@@ -7,14 +7,16 @@
 /// \file
 /// The central correctness claim of the port (paper Section 4): the DPC++
 /// version computes *the same thing* as the OpenMP reference. Every
-/// execution strategy, over every layout, must produce bitwise-identical
-/// particle states (each particle's update is an identical,
+/// registered execution backend, over every layout and fusion factor,
+/// must produce bitwise-identical particle states through
+/// exec::runStepLoop (each particle's update is an identical,
 /// order-independent sequence of operations).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/Core.h"
 #include "exec/BackendRegistry.h"
+#include "exec/StepLoop.h"
 #include "fields/DipoleWave.h"
 #include "fields/PrecalculatedFields.h"
 
@@ -27,12 +29,13 @@ namespace {
 constexpr Index N = 500;
 constexpr int Steps = 20;
 
-/// Runs the dipole-wave benchmark kernel in natural-ish units with the
-/// requested strategy and returns the final particle records.
+/// Runs the dipole-wave benchmark kernel in natural-ish units on the
+/// registered backend \p Backend (fusing \p FuseSteps steps per launch,
+/// its queue on \p Dev) and returns the final particle records.
 template <typename Array>
-std::vector<ParticleT<double>> runWith(RunnerKind Kind,
-                                       minisycl::device Dev =
-                                           minisycl::cpu_device()) {
+std::vector<ParticleT<double>>
+runWith(const std::string &Backend, int FuseSteps = 1,
+        minisycl::device Dev = minisycl::cpu_device()) {
   Array Particles(N);
   initializeBallAtRest(Particles, N, Vector3<double>::zero(), 1.0,
                        PS_Electron, /*Seed=*/4242);
@@ -41,11 +44,16 @@ std::vector<ParticleT<double>> runWith(RunnerKind Kind,
   // analytic path.
   auto Wave = DipoleWaveSource<double>::fromPower(1.0, 1.0, 1.0);
 
-  RunnerOptions<double> Opts;
-  Opts.Kind = Kind;
-  Opts.LightVelocity = 1.0;
+  auto BackendPtr = exec::createBackend(Backend);
+  EXPECT_NE(BackendPtr, nullptr) << Backend;
   minisycl::queue Q{Dev};
-  runSimulation(Particles, Wave, Types, /*Dt=*/0.05, Steps, Opts, &Q);
+  exec::ExecutionContext Ctx;
+  Ctx.Queue = &Q;
+  exec::StepLoopOptions<double> Opts;
+  Opts.LightVelocity = 1.0;
+  Opts.FuseSteps = FuseSteps;
+  exec::runStepLoop(*BackendPtr, Ctx, Particles, Wave, Types, /*Dt=*/0.05,
+                    Steps, Opts);
 
   std::vector<ParticleT<double>> Out;
   for (Index I = 0; I < N; ++I)
@@ -63,94 +71,21 @@ void expectBitwiseEqual(const std::vector<ParticleT<double>> &A,
   }
 }
 
-TEST(RunnerEquivalenceTest, OpenMpMatchesSerialAoS) {
-  expectBitwiseEqual(runWith<ParticleArrayAoS<double>>(RunnerKind::Serial),
-                     runWith<ParticleArrayAoS<double>>(RunnerKind::OpenMpStyle));
-}
-
-TEST(RunnerEquivalenceTest, DpcppMatchesSerialAoS) {
-  expectBitwiseEqual(runWith<ParticleArrayAoS<double>>(RunnerKind::Serial),
-                     runWith<ParticleArrayAoS<double>>(RunnerKind::Dpcpp));
-}
-
-TEST(RunnerEquivalenceTest, DpcppNumaMatchesSerialAoS) {
-  expectBitwiseEqual(runWith<ParticleArrayAoS<double>>(RunnerKind::Serial),
-                     runWith<ParticleArrayAoS<double>>(RunnerKind::DpcppNuma));
-}
-
-TEST(RunnerEquivalenceTest, SoAMatchesAoSUnderEveryStrategy) {
-  auto Reference = runWith<ParticleArrayAoS<double>>(RunnerKind::Serial);
-  for (RunnerKind Kind : {RunnerKind::Serial, RunnerKind::OpenMpStyle,
-                          RunnerKind::Dpcpp, RunnerKind::DpcppNuma})
-    expectBitwiseEqual(Reference, runWith<ParticleArraySoA<double>>(Kind));
-}
-
-/// Like runWith, but resolves the backend from the exec registry and runs
-/// through the exec layer directly with the given fusion factor.
-template <typename Array>
-std::vector<ParticleT<double>> runWithBackend(const std::string &Backend,
-                                              int FuseSteps) {
-  Array Particles(N);
-  initializeBallAtRest(Particles, N, Vector3<double>::zero(), 1.0,
-                       PS_Electron, /*Seed=*/4242);
-  auto Types = ParticleTypeTable<double>::natural();
-  auto Wave = DipoleWaveSource<double>::fromPower(1.0, 1.0, 1.0);
-
-  auto BackendPtr = exec::createBackend(Backend);
-  EXPECT_NE(BackendPtr, nullptr) << Backend;
-  minisycl::queue Q{minisycl::cpu_device()};
-  exec::ExecutionContext Ctx;
-  Ctx.Queue = &Q;
-  exec::StepLoopOptions<double> Opts;
-  Opts.LightVelocity = 1.0;
-  Opts.FuseSteps = FuseSteps;
-  exec::runStepLoop(*BackendPtr, Ctx, Particles, Wave, Types, /*Dt=*/0.05,
-                    Steps, Opts);
-
-  std::vector<ParticleT<double>> Out;
-  for (Index I = 0; I < N; ++I)
-    Out.push_back(Particles[I].load());
-  return Out;
-}
-
-/// The exhaustive cross-product the exec refactor must preserve: every
+/// The exhaustive cross-product the exec layer must preserve: every
 /// registered backend x {AoS, SoA} x {unfused, fused, ragged-fused} is
 /// bit-identical to the serial unfused reference. New backends join this
 /// matrix just by registering.
 TEST(RunnerEquivalenceTest, AllRegisteredBackendsBitIdenticalAcrossFusion) {
-  auto Reference = runWithBackend<ParticleArrayAoS<double>>("serial", 1);
+  auto Reference = runWith<ParticleArrayAoS<double>>("serial");
   for (const std::string &Backend :
        exec::BackendRegistry::instance().names()) {
     for (int Fuse : {1, 4, 7}) { // 7 does not divide Steps: ragged tail
-      expectBitwiseEqual(
-          Reference, runWithBackend<ParticleArrayAoS<double>>(Backend, Fuse));
-      expectBitwiseEqual(
-          Reference, runWithBackend<ParticleArraySoA<double>>(Backend, Fuse));
+      expectBitwiseEqual(Reference,
+                         runWith<ParticleArrayAoS<double>>(Backend, Fuse));
+      expectBitwiseEqual(Reference,
+                         runWith<ParticleArraySoA<double>>(Backend, Fuse));
     }
   }
-}
-
-/// The facade exposes fusion too; a fused facade run equals the unfused
-/// classic call.
-TEST(RunnerEquivalenceTest, FacadeFusionMatchesUnfused) {
-  auto Unfused = runWith<ParticleArrayAoS<double>>(RunnerKind::Dpcpp);
-
-  ParticleArrayAoS<double> Particles(N);
-  initializeBallAtRest(Particles, N, Vector3<double>::zero(), 1.0,
-                       PS_Electron, /*Seed=*/4242);
-  auto Types = ParticleTypeTable<double>::natural();
-  auto Wave = DipoleWaveSource<double>::fromPower(1.0, 1.0, 1.0);
-  RunnerOptions<double> Opts;
-  Opts.Kind = RunnerKind::Dpcpp;
-  Opts.LightVelocity = 1.0;
-  Opts.FuseSteps = 5;
-  minisycl::queue Q{minisycl::cpu_device()};
-  runSimulation(Particles, Wave, Types, 0.05, Steps, Opts, &Q);
-
-  std::vector<ParticleT<double>> Fused;
-  for (Index I = 0; I < N; ++I)
-    Fused.push_back(Particles[I].load());
-  expectBitwiseEqual(Unfused, Fused);
 }
 
 /// Sharing one queue between configurations must not leak scheduling
@@ -166,21 +101,25 @@ TEST(RunnerEquivalenceTest, QueueConfigurationDoesNotLeakBetweenRuns) {
                        PS_Electron, 7);
   auto Types = ParticleTypeTable<double>::natural();
   UniformFieldSource<double> F{{{0.1, 0, 0}, {0, 0, 1.0}}};
-  RunnerOptions<double> Opts;
-  Opts.Kind = RunnerKind::DpcppNuma;
-  Opts.Threads = 1;
+  exec::BackendConfig Config;
+  Config.Threads = 1;
+  auto Backend = exec::createBackend("dpcpp-numa", Config);
+  ASSERT_NE(Backend, nullptr);
+  exec::ExecutionContext Ctx;
+  Ctx.Queue = &Q;
+  exec::StepLoopOptions<double> Opts;
   Opts.LightVelocity = 1.0;
-  runSimulation(Particles, F, Types, 0.01, 3, Opts, &Q);
+  exec::runStepLoop(*Backend, Ctx, Particles, F, Types, 0.01, 3, Opts);
 
   EXPECT_EQ(Q.get_cpu_places(), PlacesBefore);
   EXPECT_EQ(Q.thread_count(), WidthBefore);
 }
 
 TEST(RunnerEquivalenceTest, SimulatedGpuMatchesCpu) {
-  auto Cpu = runWith<ParticleArraySoA<double>>(RunnerKind::Dpcpp,
+  auto Cpu = runWith<ParticleArraySoA<double>>("dpcpp", 1,
                                                minisycl::cpu_device());
   auto Gpu = runWith<ParticleArraySoA<double>>(
-      RunnerKind::Dpcpp, minisycl::gpu_device_iris_xe_max());
+      "dpcpp", 1, minisycl::gpu_device_iris_xe_max());
   expectBitwiseEqual(Cpu, Gpu);
 }
 
@@ -198,11 +137,12 @@ TEST(RunnerEquivalenceTest, PrecalculatedSourceMatchesAnalyticAtFixedTime) {
   PrecalculatedFields<double> Stored(N);
   Stored.precompute(A, Wave, /*Time=*/0.0);
 
-  RunnerOptions<double> Opts;
-  Opts.Kind = RunnerKind::Serial;
+  auto Serial = exec::createBackend("serial");
+  ASSERT_NE(Serial, nullptr);
+  exec::StepLoopOptions<double> Opts;
   Opts.LightVelocity = 1.0;
-  runSimulation(A, Stored.source(), Types, 0.05, 1, Opts);
-  runSimulation(B, Wave, Types, 0.05, 1, Opts);
+  exec::runStepLoop(*Serial, {}, A, Stored.source(), Types, 0.05, 1, Opts);
+  exec::runStepLoop(*Serial, {}, B, Wave, Types, 0.05, 1, Opts);
 
   for (Index I = 0; I < N; ++I) {
     EXPECT_EQ(A[I].momentum(), B[I].momentum()) << I;
@@ -217,11 +157,15 @@ TEST(RunnerEquivalenceTest, RunStatsArePopulated) {
   auto Types = ParticleTypeTable<double>::natural();
   UniformFieldSource<double> F{{{0, 0, 0}, {0, 0, 1}}};
 
-  RunnerOptions<double> Opts;
-  Opts.Kind = RunnerKind::Dpcpp;
-  Opts.LightVelocity = 1.0;
+  auto Backend = exec::createBackend("dpcpp");
+  ASSERT_NE(Backend, nullptr);
   minisycl::queue Q{minisycl::cpu_device()};
-  auto Stats = runSimulation(Particles, F, Types, 0.01, 5, Opts, &Q);
+  exec::ExecutionContext Ctx;
+  Ctx.Queue = &Q;
+  exec::StepLoopOptions<double> Opts;
+  Opts.LightVelocity = 1.0;
+  auto Stats = exec::runStepLoop(*Backend, Ctx, Particles, F, Types, 0.01, 5,
+                                 Opts);
   EXPECT_GT(Stats.HostNs, 0.0);
   EXPECT_FALSE(Stats.Modeled);
 
@@ -229,8 +173,10 @@ TEST(RunnerEquivalenceTest, RunStatsArePopulated) {
   minisycl::queue GpuQ{minisycl::gpu_device_p630()};
   gpusim::KernelProfile Profile;
   Profile.StreamedBytesPerItem = 72;
-  Opts.GpuWorkload = &Profile;
-  auto GpuStats = runSimulation(Particles, F, Types, 0.01, 5, Opts, &GpuQ);
+  Ctx.Queue = &GpuQ;
+  Ctx.GpuWorkload = &Profile;
+  auto GpuStats = exec::runStepLoop(*Backend, Ctx, Particles, F, Types, 0.01,
+                                    5, Opts);
   EXPECT_TRUE(GpuStats.Modeled);
   EXPECT_GT(GpuStats.ModeledNs, 0.0);
 }

@@ -18,6 +18,7 @@
 #include "exec/BackendRegistry.h"
 #include "pic/Diagnostics.h"
 #include "pic/PicSimulation.h"
+#include "pic/Scenarios.h"
 
 #include <gtest/gtest.h>
 
@@ -133,33 +134,16 @@ TEST(AutotunerTest, AutoBackendIsRegisteredAndDelegates) {
 /// knob it may pick is hash-invariant by the repo's cross-backend
 /// guarantee — so auto vs serial must agree bit-for-bit.
 std::uint64_t simulationHash(const std::string &Backend) {
-  const GridSize N{8, 4, 4};
+  const pic::ScenarioSetup<double> S =
+      pic::makeLangmuirScenario<double>({8, 4, 4}, 2, 0.05);
   pic::PicOptions<double> Options;
   Options.LightVelocity = 1.0;
   Options.PushBackend = Backend;
   Options.DepositBackend = Backend;
   Options.FieldBackend = Backend;
-  const int PerCell = 2;
-  pic::PicSimulation<double> Sim(N, {0, 0, 0}, {0.5, 0.5, 0.5},
-                                 N.count() * PerCell,
-                                 ParticleTypeTable<double>::natural(),
-                                 Options);
-  for (Index C = 0; C < N.count(); ++C) {
-    const Index I = C / (N.Ny * N.Nz);
-    const Index J = (C / N.Nz) % N.Ny;
-    const Index K = C % N.Nz;
-    for (int P = 0; P < PerCell; ++P) {
-      ParticleT<double> Particle;
-      Particle.Position = {(double(I) + 0.25 + 0.5 * P) * 0.5,
-                           (double(J) + 0.5) * 0.5, (double(K) + 0.5) * 0.5};
-      const double Vx =
-          0.02 * std::sin(2.0 * constants::Pi * Particle.Position.X / 4.0);
-      Particle.Momentum = {Vx / std::sqrt(1 - Vx * Vx), 0, 0};
-      Particle.Weight = 0.05;
-      Particle.Type = PS_Electron;
-      Sim.addParticle(Particle);
-    }
-  }
+  pic::PicSimulation<double> Sim(S.Grid, S.Origin, S.Step,
+                                 Index(S.Particles.size()), S.Types, Options);
+  pic::seedScenario(Sim, S);
   Sim.run(20);
   return pic::picStateHash(Sim.particles(), Sim.grid());
 }

@@ -14,6 +14,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Core.h"
+#include "exec/BackendRegistry.h"
+#include "exec/StepLoop.h"
 #include "fields/DipoleWave.h"
 #include "perfmodel/RooflineModel.h"
 #include "threading/TaskScheduler.h"
@@ -159,9 +161,10 @@ TEST(PaperPhysicsTest, ElectronsEscapeTheFocalRegionAtTenthPetawatt) {
 
   const double Period = 2 * constants::Pi / dipole_benchmark::WaveFrequency;
   const int Steps = 100;
-  RunnerOptions<double> Opts;
-  Opts.Kind = RunnerKind::OpenMpStyle;
-  runSimulation(Particles, Wave, Types, Period / Steps, Steps, Opts);
+  auto Backend = exec::createBackend("openmp");
+  ASSERT_NE(Backend, nullptr);
+  exec::runStepLoop(*Backend, {}, Particles, Wave, Types, Period / Steps,
+                    Steps);
 
   Index Escaped = countIf(Particles, [&](const auto &P) {
     return P.position().norm() > 0.6 * Lambda;
@@ -188,30 +191,34 @@ TEST(PaperPhysicsTest, SeedBallGeometryMatchesPaper) {
 // Full-matrix mini-integration: every runner x layout x precision once
 //===----------------------------------------------------------------------===//
 
-template <typename Real, typename Array> void runMatrixCell(RunnerKind Kind) {
+template <typename Real, typename Array>
+void runMatrixCell(const std::string &BackendName) {
   const Index N = 64;
   Array Particles(N);
   initializeBallAtRest(Particles, N, Vector3<Real>::zero(), Real(1),
                        PS_Electron, 5);
   auto Types = ParticleTypeTable<Real>::natural();
   UniformFieldSource<Real> F{{{Real(0.1), 0, 0}, {0, 0, Real(1)}}};
-  RunnerOptions<Real> Opts;
-  Opts.Kind = Kind;
-  Opts.LightVelocity = Real(1);
+  auto Backend = exec::createBackend(BackendName);
+  ASSERT_NE(Backend, nullptr) << BackendName;
   minisycl::queue Q{minisycl::cpu_device()};
-  auto Stats = runSimulation(Particles, F, Types, Real(0.01), 5, Opts, &Q);
+  exec::ExecutionContext Ctx;
+  Ctx.Queue = &Q;
+  exec::StepLoopOptions<Real> Opts;
+  Opts.LightVelocity = Real(1);
+  auto Stats =
+      exec::runStepLoop(*Backend, Ctx, Particles, F, Types, Real(0.01), 5, Opts);
   EXPECT_GE(Stats.HostNs, 0.0);
   // Momentum must have changed under E.
   EXPECT_NE(Particles[0].momentum(), Vector3<Real>::zero());
 }
 
 TEST(RunnerMatrixTest, AllSixteenConfigurationsRun) {
-  for (RunnerKind Kind : {RunnerKind::Serial, RunnerKind::OpenMpStyle,
-                          RunnerKind::Dpcpp, RunnerKind::DpcppNuma}) {
-    runMatrixCell<float, ParticleArrayAoS<float>>(Kind);
-    runMatrixCell<float, ParticleArraySoA<float>>(Kind);
-    runMatrixCell<double, ParticleArrayAoS<double>>(Kind);
-    runMatrixCell<double, ParticleArraySoA<double>>(Kind);
+  for (const char *Backend : {"serial", "openmp", "dpcpp", "dpcpp-numa"}) {
+    runMatrixCell<float, ParticleArrayAoS<float>>(Backend);
+    runMatrixCell<float, ParticleArraySoA<float>>(Backend);
+    runMatrixCell<double, ParticleArrayAoS<double>>(Backend);
+    runMatrixCell<double, ParticleArraySoA<double>>(Backend);
   }
 }
 

@@ -15,6 +15,7 @@
 
 #include "pic/Diagnostics.h"
 #include "pic/PicSimulation.h"
+#include "pic/Scenarios.h"
 
 #include "gtest/gtest.h"
 
@@ -28,40 +29,15 @@ using namespace hichi::pic;
 namespace {
 
 std::unique_ptr<PicSimulation<double>> makeLangmuirSim(bool UseGraph) {
-  const GridSize N{16, 4, 4};
-  const Vector3<double> Step(0.5, 0.5, 0.5);
-  const double BoxLength = double(N.Nx) * Step.X;
-  const double Volume = BoxLength * 2.0 * 2.0;
-  const int PerCell = 2;
-  const Index NumParticles = N.count() * PerCell;
-  const double Weight = Volume / (4.0 * constants::Pi * double(NumParticles));
-
+  const ScenarioSetup<double> S =
+      makeLangmuirScenario<double>({16, 4, 4}, 2, 0.0);
   PicOptions<double> Options;
   Options.LightVelocity = 1.0;
   Options.SortEveryNSteps = 5; // exercise sorting on both sides of a restore
   Options.UseStepGraph = UseGraph;
   auto Sim = std::make_unique<PicSimulation<double>>(
-      N, Vector3<double>(0, 0, 0), Step, NumParticles,
-      ParticleTypeTable<double>::natural(), Options);
-
-  const double V0 = 0.02;
-  const double K = 2.0 * constants::Pi / BoxLength;
-  for (Index C = 0; C < N.count(); ++C) {
-    const Index I = C / (N.Ny * N.Nz);
-    const Index J = (C / N.Nz) % N.Ny;
-    const Index K3 = C % N.Nz;
-    for (int P = 0; P < PerCell; ++P) {
-      ParticleT<double> Particle;
-      Particle.Position = {(double(I) + (P + 0.5) / PerCell) * Step.X,
-                           (double(J) + 0.5) * Step.Y,
-                           (double(K3) + 0.5) * Step.Z};
-      const double Vx = V0 * std::sin(K * Particle.Position.X);
-      Particle.Momentum = {Vx / std::sqrt(1 - Vx * Vx), 0, 0};
-      Particle.Weight = Weight;
-      Particle.Type = PS_Electron;
-      Sim->addParticle(Particle);
-    }
-  }
+      S.Grid, S.Origin, S.Step, Index(S.Particles.size()), S.Types, Options);
+  seedScenario(*Sim, S);
   return Sim;
 }
 
@@ -73,14 +49,9 @@ std::uint64_t hashOf(const PicSimulation<double> &Sim) {
 /// slides ~1 plane every dx/(c dt) steps, so a 12-step half run saves
 /// mid-shift state (nonzero ring base, retired/injected history).
 std::unique_ptr<PicSimulation<double>> makeMovingWindowSim(bool UseGraph) {
-  const GridSize N{16, 4, 4};
-  const Vector3<double> Step(0.5, 0.5, 0.5);
-  const double BoxLength = double(N.Nx) * Step.X;
-  const double Volume = BoxLength * 2.0 * 2.0;
   const int PerCell = 2;
-  const Index NumParticles = N.count() * PerCell;
-  const double Weight = Volume / (4.0 * constants::Pi * double(NumParticles));
-
+  const ScenarioSetup<double> S =
+      makeLangmuirScenario<double>({16, 4, 4}, PerCell, 0.0);
   PicOptions<double> Options;
   Options.LightVelocity = 1.0;
   Options.SortEveryNSteps = 5;
@@ -89,30 +60,12 @@ std::unique_ptr<PicSimulation<double>> makeMovingWindowSim(bool UseGraph) {
   Options.MovingWindow.Speed = 1.0;
   Options.MovingWindow.InjectPerCell = PerCell;
   Options.MovingWindow.InjectType = short(PS_Electron);
-  Options.MovingWindow.InjectWeight = Weight;
+  Options.MovingWindow.InjectWeight = S.Particles.front().Weight;
   auto Sim = std::make_unique<PicSimulation<double>>(
-      N, Vector3<double>(0, 0, 0), Step,
-      NumParticles + Index(4) * N.Ny * N.Nz * Index(PerCell),
-      ParticleTypeTable<double>::natural(), Options);
-
-  const double V0 = 0.02;
-  const double K = 2.0 * constants::Pi / BoxLength;
-  for (Index C = 0; C < N.count(); ++C) {
-    const Index I = C / (N.Ny * N.Nz);
-    const Index J = (C / N.Nz) % N.Ny;
-    const Index K3 = C % N.Nz;
-    for (int P = 0; P < PerCell; ++P) {
-      ParticleT<double> Particle;
-      Particle.Position = {(double(I) + (P + 0.5) / PerCell) * Step.X,
-                           (double(J) + 0.5) * Step.Y,
-                           (double(K3) + 0.5) * Step.Z};
-      const double Vx = V0 * std::sin(K * Particle.Position.X);
-      Particle.Momentum = {Vx / std::sqrt(1 - Vx * Vx), 0, 0};
-      Particle.Weight = Weight;
-      Particle.Type = PS_Electron;
-      Sim->addParticle(Particle);
-    }
-  }
+      S.Grid, S.Origin, S.Step,
+      Index(S.Particles.size()) + Index(4) * S.Grid.Ny * S.Grid.Nz * PerCell,
+      S.Types, Options);
+  seedScenario(*Sim, S);
   return Sim;
 }
 

@@ -29,6 +29,7 @@
 
 #include "pic/Diagnostics.h"
 #include "pic/PicSimulation.h"
+#include "pic/Scenarios.h"
 #include "support/Statistics.h"
 
 #include <gtest/gtest.h>
@@ -50,9 +51,8 @@ constexpr int Iterations = 31;
 /// 8x4x4 grid, every stage on 2 sharded lanes), warmed up for one
 /// iteration — where graph mode captures.
 std::unique_ptr<PicSimulation<double>> makeSimulation(bool UseGraph) {
-  const GridSize N{8, 4, 4};
-  const int PerCell = 2;
-  const Index NumParticles = N.count() * PerCell;
+  const ScenarioSetup<double> S =
+      makeLangmuirScenario<double>({8, 4, 4}, 2, 0.0);
   PicOptions<double> Options;
   Options.LightVelocity = 1.0;
   Options.SortEveryNSteps = 20;
@@ -64,27 +64,8 @@ std::unique_ptr<PicSimulation<double>> makeSimulation(bool UseGraph) {
   Options.FieldThreads = 2;
   Options.UseStepGraph = UseGraph;
   auto Sim = std::make_unique<PicSimulation<double>>(
-      N, Vector3<double>{0, 0, 0}, Vector3<double>{0.5, 0.5, 0.5},
-      NumParticles, ParticleTypeTable<double>::natural(), Options);
-  const double BoxLength = double(N.Nx) * 0.5;
-  const double Volume = BoxLength * double(N.Ny) * 0.5 * double(N.Nz) * 0.5;
-  const double Weight = Volume / (4.0 * constants::Pi * double(NumParticles));
-  for (Index C = 0; C < N.count(); ++C) {
-    const Index I = C / (N.Ny * N.Nz);
-    const Index J = (C / N.Nz) % N.Ny;
-    const Index K = C % N.Nz;
-    for (int P = 0; P < PerCell; ++P) {
-      ParticleT<double> Particle;
-      Particle.Position = {(double(I) + (P + 0.5) / PerCell) * 0.5,
-                           (double(J) + 0.5) * 0.5, (double(K) + 0.5) * 0.5};
-      const double Vx = 0.02 * std::sin(2.0 * constants::Pi *
-                                        Particle.Position.X / BoxLength);
-      Particle.Momentum = {Vx / std::sqrt(1 - Vx * Vx), 0, 0};
-      Particle.Weight = Weight;
-      Particle.Type = PS_Electron;
-      Sim->addParticle(Particle);
-    }
-  }
+      S.Grid, S.Origin, S.Step, Index(S.Particles.size()), S.Types, Options);
+  seedScenario(*Sim, S);
   Sim->run(StepsPerIteration);
   return Sim;
 }

@@ -17,6 +17,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "pic/PicSimulation.h"
+#include "pic/Scenarios.h"
 
 #include <gtest/gtest.h>
 
@@ -32,7 +33,8 @@ namespace {
 std::unique_ptr<PicSimulation<double>>
 makeSimulation(FieldSolverKind Solver, const std::string &Backend,
                bool UseGraph) {
-  const GridSize N{16, 4, 4};
+  const ScenarioSetup<double> S =
+      makeLangmuirScenario<double>({16, 4, 4}, 2, 0.05);
   PicOptions<double> Options;
   Options.LightVelocity = 1.0;
   Options.Solver = Solver;
@@ -43,26 +45,9 @@ makeSimulation(FieldSolverKind Solver, const std::string &Backend,
   Options.DepositThreads = 3;
   Options.FieldThreads = 3;
   Options.UseStepGraph = UseGraph;
-  const int PerCell = 2;
   auto Sim = std::make_unique<PicSimulation<double>>(
-      N, Vector3<double>{0, 0, 0}, Vector3<double>{0.5, 0.5, 0.5},
-      N.count() * PerCell, ParticleTypeTable<double>::natural(), Options);
-  for (Index C = 0; C < N.count(); ++C) {
-    const Index I = C / (N.Ny * N.Nz);
-    const Index J = (C / N.Nz) % N.Ny;
-    const Index K = C % N.Nz;
-    for (int P = 0; P < PerCell; ++P) {
-      ParticleT<double> Particle;
-      Particle.Position = {(double(I) + 0.25 + 0.5 * P) * 0.5,
-                           (double(J) + 0.5) * 0.5, (double(K) + 0.5) * 0.5};
-      const double Vx =
-          0.02 * std::sin(2.0 * constants::Pi * Particle.Position.X / 8.0);
-      Particle.Momentum = {Vx / std::sqrt(1 - Vx * Vx), 0, 0};
-      Particle.Weight = 0.05;
-      Particle.Type = PS_Electron;
-      Sim->addParticle(Particle);
-    }
-  }
+      S.Grid, S.Origin, S.Step, Index(S.Particles.size()), S.Types, Options);
+  seedScenario(*Sim, S);
   return Sim;
 }
 

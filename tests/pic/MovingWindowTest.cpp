@@ -5,16 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The moving-window contract, gated in CI as the
-/// `pic_window_equivalence` ctest target (fields/GridWindow.h,
-/// pic/YeeGrid.h ring storage, PicSimulation::shiftWindow):
+/// The moving-window contract (fields/GridWindow.h, pic/YeeGrid.h ring
+/// storage, PicSimulation::shiftWindow). The shift trigger is a pure
+/// function of simulation time, so a moving-window run is bit-identical
+/// across backends, shard counts, layouts, graph replay and the
+/// rebalancer: the `window` rows of tests/pic/EquivalenceMatrixTest.cpp.
+/// Here:
 ///
-///  - the shift trigger is a pure function of simulation time, so a
-///    moving-window run is *bit-identical* across serial/openmp/sharded
-///    backends at several shard counts, in both particle layouts, with
-///    and without step-graph replay, with and without the rebalancer
-///    armed — the same guarantee the fixed-window equivalence suites
-///    pin, extended to a domain that moves;
 ///  - the window is physically honest: on a field-free pair plasma
 ///    (bitwise current cancellation) the surviving + injected particles
 ///    of a moving-window run are exactly — bitwise — the particles an
@@ -50,125 +47,9 @@ using namespace hichi::pic;
 
 namespace {
 
-struct WindowRun {
-  std::uint64_t Hash = 0;
-  long long Shifts = 0;
-  long long Retired = 0;
-  long long Injected = 0;
-  long long Captures = 0;
-  long long Replays = 0;
-  Index Live = 0;
-  Index ShiftedPlanes = 0;
-  std::size_t ShiftTouchedElems = 0;
-};
-
-/// 60 steps of the pulse-tracking moving-window scenario on an \p N
-/// window with every stage on \p Backend.
-template <typename Array = ParticleArrayAoS<double>>
-WindowRun runWindowScenario(const std::string &Backend, int Threads,
-                            bool UseGraph, double RebalanceThreshold,
-                            GridSize N = {64, 4, 4}) {
-  const ScenarioSetup<double> S = makeMovingWindowScenario<double>(N);
-  PicOptions<double> Options;
-  Options.LightVelocity = 1.0;
-  Options.SortEveryNSteps = 20;
-  Options.MovingWindow = S.MovingWindow;
-  Options.UseStepGraph = UseGraph;
-  Options.RebalanceThreshold = RebalanceThreshold;
-  Options.PushBackend = Backend;
-  Options.DepositBackend = Backend;
-  Options.FieldBackend = Backend;
-  Options.PushThreads = Threads;
-  Options.DepositThreads = Threads;
-  Options.FieldThreads = Threads;
-  PicSimulation<double, Array> Sim(S.Grid, S.Origin, S.Step,
-                                   Index(S.Particles.size()) + S.ExtraCapacity,
-                                   S.Types, Options);
-  seedScenario(Sim, S);
-  Sim.run(60);
-
-  WindowRun Out;
-  Out.Hash = picStateHash(Sim.particles(), Sim.grid());
-  Out.Shifts = Sim.windowShiftCount();
-  Out.Retired = Sim.windowRetiredCount();
-  Out.Injected = Sim.windowInjectedCount();
-  Out.Captures = Sim.graphCaptureCount();
-  Out.Replays = Sim.graphReplayCount();
-  Out.Live = Sim.particles().size();
-  Out.ShiftedPlanes = Sim.windowOriginPlanes();
-  Out.ShiftTouchedElems = Sim.grid().shiftTouchedElems();
-  return Out;
-}
-
-//===----------------------------------------------------------------------===//
-// Cross-backend bit-identity (the CI gate's core)
-//===----------------------------------------------------------------------===//
-
-TEST(MovingWindowTest, BitIdenticalAcrossBackendsLayoutsGraphAndRebalance) {
-  const WindowRun Ref =
-      runWindowScenario("serial", 0, /*UseGraph=*/false, /*Rebalance=*/0.0);
-  ASSERT_GT(Ref.Shifts, 0) << "scenario must actually shift";
-  EXPECT_EQ(Ref.Retired, Ref.Injected); // uniform plasma: steady state
-
-  const struct {
-    const char *Backend;
-    int Threads;
-  } Configs[] = {{"serial", 0},  {"openmp", 3}, {"sharded", 1},
-                 {"sharded", 2}, {"sharded", 5}};
-  for (const auto &C : Configs)
-    for (bool UseGraph : {false, true})
-      for (double Threshold : {0.0, 1.3}) {
-        const WindowRun Run =
-            runWindowScenario(C.Backend, C.Threads, UseGraph, Threshold);
-        EXPECT_EQ(Run.Hash, Ref.Hash)
-            << C.Backend << " threads=" << C.Threads << " graph=" << UseGraph
-            << " rebalance=" << Threshold;
-        EXPECT_EQ(Run.Shifts, Ref.Shifts) << C.Backend;
-        EXPECT_EQ(Run.Retired, Ref.Retired) << C.Backend;
-        EXPECT_EQ(Run.Injected, Ref.Injected) << C.Backend;
-        EXPECT_EQ(Run.Live, Ref.Live) << C.Backend;
-      }
-
-  // The SoA layout lands on the same bits (the hash reads whole records
-  // through the proxy, and every stage is layout-generic).
-  const WindowRun SoaPlain = runWindowScenario<ParticleArraySoA<double>>(
-      "serial", 0, /*UseGraph=*/false, /*Rebalance=*/0.0);
-  EXPECT_EQ(SoaPlain.Hash, Ref.Hash);
-  const WindowRun SoaFull = runWindowScenario<ParticleArraySoA<double>>(
-      "sharded", 5, /*UseGraph=*/true, /*Rebalance=*/1.3);
-  EXPECT_EQ(SoaFull.Hash, Ref.Hash);
-}
-
 //===----------------------------------------------------------------------===//
 // Physics: window shift == equivalent fixed big domain, bitwise
 //===----------------------------------------------------------------------===//
-
-/// Seeds \p PlaneCount x-planes of the resting neutral pair plasma with
-/// the moving-window injector's exact placement expression (global plane
-/// index against the base origin), record-adjacent pairs.
-template <typename Sim>
-void seedRestingPairs(Sim &S, GridSize N, Index PlaneCount,
-                      const Vector3<double> &Origin,
-                      const Vector3<double> &Step, int PairsPerCell,
-                      double Weight) {
-  for (Index I = 0; I < PlaneCount; ++I)
-    for (Index J = 0; J < N.Ny; ++J)
-      for (Index K = 0; K < N.Nz; ++K)
-        for (int P = 0; P < PairsPerCell; ++P) {
-          ParticleT<double> Part;
-          Part.Position = {Origin.X + (double(I) + (P + 0.5) / PairsPerCell) *
-                                          Step.X,
-                           Origin.Y + (double(J) + 0.5) * Step.Y,
-                           Origin.Z + (double(K) + 0.5) * Step.Z};
-          Part.Momentum = Vector3<double>::zero();
-          Part.Weight = Weight;
-          Part.Gamma = 1.0;
-          Part.Type = PS_Electron;
-          S.addParticle(Part);
-          Part.Type = PS_Positron;
-          S.addParticle(Part);
-        }
-}
 
 std::vector<std::array<double, 8>> sortedStates(
     const ParticleArrayAoS<double> &Particles, double MinX, double MaxX) {
@@ -193,41 +74,33 @@ TEST(MovingWindowTest, ShiftMatchesEquivalentFixedDomainBitwise) {
   // domain big enough to contain the whole sweep holds in the window's
   // final x-range. Any drift here means the injector's placement or the
   // retirement edge diverged from plain seeding.
-  const GridSize NWin{32, 4, 4};
-  const Vector3<double> Origin(0, 0, 0), Step(0.5, 0.5, 0.5);
-  const int PairsPerCell = 2, Steps = 40;
-  const double Weight = 0.01;
+  // The moving-window scenario at zero pulse amplitude: its seeding and
+  // its injector share one placement expression (global plane index
+  // against the base origin), record-adjacent pairs.
+  const GridSize NWin{32, 4, 4}, NBig{NWin.Nx + 16, 4, 4};
+  const int Steps = 40;
+  const ScenarioSetup<double> Win =
+      makeMovingWindowScenario<double>(NWin, 2, /*PulseAmplitude=*/0.0);
+  const ScenarioSetup<double> Big =
+      makeMovingWindowScenario<double>(NBig, 2, /*PulseAmplitude=*/0.0);
 
   PicOptions<double> Options;
   Options.LightVelocity = 1.0;
   Options.SortEveryNSteps = 7;
-  Options.MovingWindow.Enabled = true;
-  Options.MovingWindow.Speed = 1.0;
-  Options.MovingWindow.InjectPerCell = PairsPerCell;
-  Options.MovingWindow.InjectType = short(PS_Electron);
-  Options.MovingWindow.InjectPairType = short(PS_Positron);
-  Options.MovingWindow.InjectWeight = Weight;
-  const Index PlanePairs = Index(2 * PairsPerCell) * NWin.Ny * NWin.Nz;
+  Options.MovingWindow = Win.MovingWindow;
   PicSimulation<double> Windowed(
-      NWin, Origin, Step, NWin.count() * Index(2 * PairsPerCell) +
-                              Index(4) * PlanePairs,
-      ParticleTypeTable<double>::natural(), Options);
-  seedRestingPairs(Windowed, NWin, NWin.Nx, Origin, Step, PairsPerCell,
-                   Weight);
+      Win.Grid, Win.Origin, Win.Step,
+      Index(Win.Particles.size()) + Win.ExtraCapacity, Win.Types, Options);
+  seedScenario(Windowed, Win);
   Windowed.run(Steps);
   const Index Shifts = Windowed.windowOriginPlanes();
   ASSERT_GT(Shifts, 0);
-
-  const GridSize NBig{NWin.Nx + 16, 4, 4};
   ASSERT_GE(NBig.Nx, NWin.Nx + Shifts) << "fixed domain must contain the sweep";
-  PicOptions<double> FixedOptions;
-  FixedOptions.LightVelocity = 1.0;
-  FixedOptions.SortEveryNSteps = 7;
-  PicSimulation<double> Fixed(NBig, Origin, Step,
-                              NBig.count() * Index(2 * PairsPerCell),
-                              ParticleTypeTable<double>::natural(),
-                              FixedOptions);
-  seedRestingPairs(Fixed, NBig, NBig.Nx, Origin, Step, PairsPerCell, Weight);
+
+  Options.MovingWindow.Enabled = false;
+  PicSimulation<double> Fixed(Big.Grid, Big.Origin, Big.Step,
+                              Index(Big.Particles.size()), Big.Types, Options);
+  seedScenario(Fixed, Big);
   Fixed.run(Steps);
 
   // Both runs are exactly field-free (the pair cancellation is bitwise).
@@ -235,8 +108,8 @@ TEST(MovingWindowTest, ShiftMatchesEquivalentFixedDomainBitwise) {
   EXPECT_EQ(Fixed.fieldEnergy(), 0.0);
 
   const double WinLo = Windowed.grid().origin().X;
-  const double WinHi = WinLo + double(NWin.Nx) * Step.X;
-  EXPECT_GT(WinLo, Origin.X); // the window really moved
+  const double WinHi = WinLo + double(NWin.Nx) * Win.Step.X;
+  EXPECT_GT(WinLo, Win.Origin.X); // the window really moved
   const auto FromWindow = sortedStates(Windowed.particles(), WinLo, WinHi);
   const auto FromFixed = sortedStates(Fixed.particles(), WinLo, WinHi);
   ASSERT_EQ(FromWindow.size(), std::size_t(Windowed.particles().size()))
@@ -312,18 +185,32 @@ TEST(MovingWindowTest, ShiftCostIsPerPlaneIndependentOfNx) {
   // memmoved the interior would tally a term that grows with Nx, so the
   // per-plane cost must equal 9 x Ny x Nz at both window lengths.
   const std::size_t PlaneCost = 9 * 8 * 8;
-  for (int Shards : {0, 4}) {
-    const char *Backend = Shards > 0 ? "sharded" : "serial";
+  for (int Shards : {0, 4})
     for (Index Nx : {64, 32}) {
-      const WindowRun Run = runWindowScenario(
-          Backend, Shards, /*UseGraph=*/false, /*Rebalance=*/0.0, {Nx, 8, 8});
-      ASSERT_GT(Run.Shifts, 0) << Backend << " Nx=" << Nx;
-      EXPECT_EQ(Run.ShiftTouchedElems,
-                PlaneCost * std::size_t(Run.ShiftedPlanes))
-          << Backend << " Nx=" << Nx;
-      EXPECT_EQ(Run.Retired, Run.Injected) << Backend << " Nx=" << Nx;
+      const ScenarioSetup<double> S =
+          makeMovingWindowScenario<double>({Nx, 8, 8});
+      PicOptions<double> Options;
+      Options.LightVelocity = 1.0;
+      Options.SortEveryNSteps = 20;
+      Options.MovingWindow = S.MovingWindow;
+      if (Shards > 0) {
+        Options.PushBackend = Options.DepositBackend = Options.FieldBackend =
+            "sharded";
+        Options.PushThreads = Options.DepositThreads = Options.FieldThreads =
+            Shards;
+      }
+      PicSimulation<double> Sim(S.Grid, S.Origin, S.Step,
+                                Index(S.Particles.size()) + S.ExtraCapacity,
+                                S.Types, Options);
+      seedScenario(Sim, S);
+      Sim.run(60);
+      SCOPED_TRACE("shards=" + std::to_string(Shards) +
+                   " Nx=" + std::to_string(Nx));
+      ASSERT_GT(Sim.windowShiftCount(), 0);
+      EXPECT_EQ(Sim.grid().shiftTouchedElems(),
+                PlaneCost * std::size_t(Sim.windowOriginPlanes()));
+      EXPECT_EQ(Sim.windowRetiredCount(), Sim.windowInjectedCount());
     }
-  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -5,24 +5,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The rebalancer's determinism contract, gated in CI as the
-/// `pic_rebalance_equivalence` ctest target (pic/Rebalancer.h):
+/// The rebalancer's contract (pic/Rebalancer.h). That an armed but never
+/// fired rebalancer is a bitwise no-op, and that fired runs agree
+/// bitwise across backends, are the `rebalance` rows of
+/// tests/pic/EquivalenceMatrixTest.cpp. Here:
 ///
 ///  - weightedSlabBoundaries is a strict generalization of the static
 ///    split: uniform weights reproduce slabRange's boundaries exactly,
 ///    concentrated weights track the concentration, and every result is
 ///    a valid partition (monotone, nonempty slabs) whatever the input;
-///  - when the threshold never trips (uniform Langmuir, skew ~1), a run
-///    with rebalancing armed is *bit-identical* to one with it off, on
-///    every backend x solver x shard count — arming the feature costs
-///    nothing but the histogram pass;
-///  - when repartitions DO fire (the drifting slab), all rebalanced
-///    runs agree bitwise across backends (the trigger is a pure
-///    function of positions, so every backend fires on the same steps),
-///    the fire counts agree, and the run conserves exactly what the
-///    scenario's bitwise current cancellation promises: particle count,
-///    the multiset of particle states, kinetic energy, zero field
-///    energy, zero net charge;
+///  - the flat-array and cell-list occupancy histograms agree;
+///  - when repartitions fire (the drifting slab), the run conserves
+///    exactly what the scenario's bitwise current cancellation
+///    promises: particle count, the multiset of particle states,
+///    kinetic energy, zero field energy, zero net charge;
 ///  - a fired repartition actually moves the deposit tile plane
 ///    boundaries off the uniform split.
 ///
@@ -154,79 +150,7 @@ TEST(RebalanceEquivalenceTest, OccupancyHistogramMatchesCellLists) {
 }
 
 //===----------------------------------------------------------------------===//
-// No-op bit-equivalence: armed but never fired == disabled
-//===----------------------------------------------------------------------===//
-
-/// A 100-step uniform Langmuir run (skew ~1 forever) with every stage on
-/// \p Backend; \p Threshold > 1 armed, or 0 for the control run.
-std::uint64_t langmuirHash(const std::string &Backend, int Threads,
-                           FieldSolverKind Solver, double Threshold,
-                           long long *Fires = nullptr,
-                           long long *Checks = nullptr) {
-  const GridSize N{16, 4, 4};
-  PicOptions<double> Options;
-  Options.LightVelocity = 1.0;
-  Options.SortEveryNSteps = 7;
-  Options.Solver = Solver;
-  Options.PushBackend = Backend;
-  Options.DepositBackend = Backend;
-  Options.FieldBackend = Backend;
-  Options.PushThreads = Threads;
-  Options.DepositThreads = Threads;
-  Options.FieldThreads = Threads;
-  Options.RebalanceThreshold = Threshold;
-  Options.RebalanceEveryNSteps = 10;
-  const int PerCell = 2;
-  PicSimulation<double> Sim(N, {0, 0, 0}, {0.5, 0.5, 0.5},
-                            N.count() * PerCell,
-                            ParticleTypeTable<double>::natural(), Options);
-  for (Index C = 0; C < N.count(); ++C) {
-    const Index I = C / (N.Ny * N.Nz);
-    const Index J = (C / N.Nz) % N.Ny;
-    const Index K = C % N.Nz;
-    for (int P = 0; P < PerCell; ++P) {
-      ParticleT<double> Particle;
-      Particle.Position = {(double(I) + 0.25 + 0.5 * P) * 0.5,
-                           (double(J) + 0.5) * 0.5, (double(K) + 0.5) * 0.5};
-      const double Vx =
-          0.02 * std::sin(2.0 * constants::Pi * Particle.Position.X / 8.0);
-      Particle.Momentum = {Vx / std::sqrt(1 - Vx * Vx), 0, 0};
-      Particle.Weight = 0.05;
-      Particle.Type = PS_Electron;
-      Sim.addParticle(Particle);
-    }
-  }
-  Sim.run(100);
-  if (Fires)
-    *Fires = Sim.rebalanceStats().Fires;
-  if (Checks)
-    *Checks = Sim.rebalanceStats().Checks;
-  return picStateHash(Sim.particles(), Sim.grid());
-}
-
-TEST(RebalanceEquivalenceTest, NoOpRebalanceIsBitIdenticalToDisabled) {
-  const struct {
-    const char *Backend;
-    int Threads;
-  } Configs[] = {{"serial", 0}, {"openmp", 3}, {"sharded", 4}, {"sharded", 5}};
-  for (FieldSolverKind Solver :
-       {FieldSolverKind::Fdtd, FieldSolverKind::Spectral})
-    for (const auto &C : Configs) {
-      long long Fires = -1, Checks = 0;
-      const std::uint64_t Armed =
-          langmuirHash(C.Backend, C.Threads, Solver, 1.5, &Fires, &Checks);
-      const std::uint64_t Off =
-          langmuirHash(C.Backend, C.Threads, Solver, 0.0);
-      EXPECT_EQ(Armed, Off)
-          << C.Backend << " threads=" << C.Threads << " solver="
-          << (Solver == FieldSolverKind::Fdtd ? "fdtd" : "spectral");
-      EXPECT_EQ(Fires, 0) << C.Backend;
-      EXPECT_EQ(Checks, 10) << C.Backend; // every 10th of 100 steps
-    }
-}
-
-//===----------------------------------------------------------------------===//
-// Fired repartitions: cross-backend bit-equivalence + exact conservation
+// Fired repartitions: exact conservation, moved tile boundaries
 //===----------------------------------------------------------------------===//
 
 struct SlabRun {
@@ -280,32 +204,6 @@ SlabRun runSlab(const std::string &Backend, int Threads, double Threshold,
   }
   std::sort(Out.SortedStates.begin(), Out.SortedStates.end());
   return Out;
-}
-
-TEST(RebalanceEquivalenceTest, FiredRebalanceBitIdenticalAcrossBackends) {
-  const SlabRun Plain = runSlab("serial", 0, 0.0);
-  const SlabRun Serial = runSlab("serial", 0, 1.3);
-  const SlabRun Openmp = runSlab("openmp", 3, 1.3);
-  const SlabRun Sharded4 = runSlab("sharded", 4, 1.3);
-  const SlabRun Sharded5 = runSlab("sharded", 5, 1.3);
-
-  // The trigger is a pure function of positions, so every backend must
-  // fire on the same steps and land on one identical bit-state.
-  EXPECT_GE(Serial.Fires, 1);
-  EXPECT_EQ(Serial.Fires, Openmp.Fires);
-  EXPECT_EQ(Serial.Fires, Sharded4.Fires);
-  EXPECT_EQ(Serial.Fires, Sharded5.Fires);
-  EXPECT_EQ(Serial.Hash, Openmp.Hash);
-  EXPECT_EQ(Serial.Hash, Sharded4.Hash);
-  EXPECT_EQ(Serial.Hash, Sharded5.Hash);
-
-  // Under uniform drift the array stays x-ordered, so every rebalance
-  // sort is an identity permutation and even the plain run's hash is
-  // reproduced — the strongest form of "the repartition only moved
-  // boundaries". (Scenarios with real fields diverge from the plain
-  // run by a permutation; see the header.)
-  EXPECT_EQ(Plain.Fires, 0);
-  EXPECT_EQ(Serial.Hash, Plain.Hash);
 }
 
 TEST(RebalanceEquivalenceTest, FiredRebalanceConservesExactly) {

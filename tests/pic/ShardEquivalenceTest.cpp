@@ -5,23 +5,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The sharded backend's end-to-end determinism guarantee, gated in CI
-/// as the `pic_shard_equivalence` ctest target: a PIC simulation whose
-/// stages run on persistent shards — stage-1 particle blocks split
-/// across the shards, deposit tile groups split across the shards,
-/// shard-partitioned field tiles — is
-/// *bit-identical* to the all-serial loop for every shard count x
-/// stage combination x particle layout x Maxwell solver. On top of the
-/// 100-step state hashes sit bitwise memcmp checks of the two kernels
-/// the shards actually split: the deposit (J lattices) and the push
-/// (particle positions/momenta).
+/// The sharded backend's kernel-level determinism: bitwise memcmp checks
+/// of the two kernels the shards actually split, the deposit (J
+/// lattices) and the push (particle positions/momenta), against the
+/// serial ones at every shard count. Whole-simulation state hashes with
+/// sharded stages are the `shard` rows of
+/// tests/pic/EquivalenceMatrixTest.cpp.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "exec/BackendRegistry.h"
 #include "exec/StepLoop.h"
 #include "fields/DipoleWave.h"
-#include "pic/Diagnostics.h"
 #include "pic/PicSimulation.h"
 #include "pic/TiledCurrentAccumulator.h"
 #include "support/Random.h"
@@ -37,114 +32,10 @@ using namespace hichi::pic;
 
 namespace {
 
-/// The shard counts of the equivalence matrix: one shard (degenerate),
-/// even/odd splits, and more shards than the grid has x-planes per
-/// tile-group (13 over 16 planes — ragged everywhere).
+/// The shard counts: one shard (degenerate), even/odd splits, and more
+/// shards than the grid has x-planes per tile group (13 over 16
+/// planes — ragged everywhere).
 const int ShardAxis[] = {1, 2, 5, 13};
-
-/// A 100-step Langmuir-style simulation on a power-of-two grid (so both
-/// solvers run the same setup), with each stage on the given backend;
-/// sharded stages get \p Shards as their thread (= shard) count.
-template <typename Array>
-std::uint64_t shardSimulationHash(FieldSolverKind Solver,
-                                  const std::string &PushBackend,
-                                  const std::string &DepositBackend,
-                                  const std::string &FieldBackend,
-                                  int Shards) {
-  const GridSize N{16, 4, 4};
-  PicOptions<double> Options;
-  Options.LightVelocity = 1.0;
-  Options.SortEveryNSteps = 7; // exercise re-sorting mid-run
-  Options.Solver = Solver;
-  Options.PushBackend = PushBackend;
-  Options.DepositBackend = DepositBackend;
-  Options.FieldBackend = FieldBackend;
-  if (PushBackend == "sharded")
-    Options.PushThreads = Shards;
-  if (DepositBackend == "sharded")
-    Options.DepositThreads = Shards;
-  if (FieldBackend == "sharded")
-    Options.FieldThreads = Shards;
-  const int PerCell = 2;
-  PicSimulation<double, Array> Sim(N, {0, 0, 0}, {0.5, 0.5, 0.5},
-                                   N.count() * PerCell,
-                                   ParticleTypeTable<double>::natural(),
-                                   Options);
-  for (Index C = 0; C < N.count(); ++C) {
-    const Index I = C / (N.Ny * N.Nz);
-    const Index J = (C / N.Nz) % N.Ny;
-    const Index K = C % N.Nz;
-    for (int P = 0; P < PerCell; ++P) {
-      ParticleT<double> Particle;
-      Particle.Position = {(double(I) + 0.25 + 0.5 * P) * 0.5,
-                           (double(J) + 0.5) * 0.5, (double(K) + 0.5) * 0.5};
-      const double Vx =
-          0.02 * std::sin(2.0 * constants::Pi * Particle.Position.X / 8.0);
-      Particle.Momentum = {Vx / std::sqrt(1 - Vx * Vx), 0, 0};
-      Particle.Weight = 0.05;
-      Particle.Type = PS_Electron;
-      Sim.addParticle(Particle);
-    }
-  }
-  Sim.run(100);
-  return picStateHash(Sim.particles(), Sim.grid());
-}
-
-template <typename Array>
-void checkAllStagesShardedAcrossShardCounts(FieldSolverKind Solver) {
-  const std::uint64_t Reference = shardSimulationHash<Array>(
-      Solver, "serial", "serial", "serial", 0);
-  for (int Shards : ShardAxis)
-    EXPECT_EQ(shardSimulationHash<Array>(Solver, "sharded", "sharded",
-                                         "sharded", Shards),
-              Reference)
-        << "shards=" << Shards;
-}
-
-TEST(ShardEquivalenceTest, StateHashInvariantAcrossShardCountsFdtdAoS) {
-  checkAllStagesShardedAcrossShardCounts<ParticleArrayAoS<double>>(
-      FieldSolverKind::Fdtd);
-}
-
-TEST(ShardEquivalenceTest, StateHashInvariantAcrossShardCountsFdtdSoA) {
-  checkAllStagesShardedAcrossShardCounts<ParticleArraySoA<double>>(
-      FieldSolverKind::Fdtd);
-}
-
-TEST(ShardEquivalenceTest, StateHashInvariantAcrossShardCountsSpectralAoS) {
-  checkAllStagesShardedAcrossShardCounts<ParticleArrayAoS<double>>(
-      FieldSolverKind::Spectral);
-}
-
-TEST(ShardEquivalenceTest, StateHashInvariantAcrossShardCountsSpectralSoA) {
-  checkAllStagesShardedAcrossShardCounts<ParticleArraySoA<double>>(
-      FieldSolverKind::Spectral);
-}
-
-TEST(ShardEquivalenceTest, StateHashInvariantForMixedStageBackends) {
-  // Shards per stage, other stages on every other registered backend:
-  // the shard routing composes with, not depends on, its neighbours.
-  for (FieldSolverKind Solver :
-       {FieldSolverKind::Fdtd, FieldSolverKind::Spectral}) {
-    const std::uint64_t Reference =
-        shardSimulationHash<ParticleArrayAoS<double>>(Solver, "serial",
-                                                      "serial", "serial", 0);
-    for (const std::string Other : {"openmp", "dpcpp"}) {
-      EXPECT_EQ(shardSimulationHash<ParticleArrayAoS<double>>(
-                    Solver, "sharded", Other, Other, 5),
-                Reference)
-          << "sharded push, " << Other << " elsewhere";
-      EXPECT_EQ(shardSimulationHash<ParticleArrayAoS<double>>(
-                    Solver, Other, "sharded", Other, 5),
-                Reference)
-          << "sharded deposit, " << Other << " elsewhere";
-      EXPECT_EQ(shardSimulationHash<ParticleArrayAoS<double>>(
-                    Solver, Other, Other, "sharded", 5),
-                Reference)
-          << "sharded field solve, " << Other << " elsewhere";
-    }
-  }
-}
 
 //===----------------------------------------------------------------------===//
 // Bitwise memcmp: the sharded deposit against the serial scatter

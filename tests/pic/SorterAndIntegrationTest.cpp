@@ -13,6 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "pic/PicSimulation.h"
+#include "pic/Scenarios.h"
 
 #include <gtest/gtest.h>
 
@@ -104,43 +105,18 @@ TEST(CellIndexerTest, MapsPositionsToCells) {
 TEST(PicIntegrationTest, LangmuirOscillationAtPlasmaFrequency) {
   // Natural units c = 1, m = 1, |q| = 1. Uniform electron lattice with a
   // sinusoidal velocity perturbation along x; the restoring space-charge
-  // field oscillates at omega_p = sqrt(4 pi n). Choose the macro-weight
-  // so omega_p = 1 => period 2 pi.
-  const GridSize N{16, 4, 4};
-  const Vector3<double> Step(0.5, 0.5, 0.5);
-  const double Volume = 8.0 * 2.0 * 2.0;
-  const int PerCell = 2;
-  const Index NumParticles = N.count() * PerCell;
-  // n = NumParticles * w / Volume = 1/(4 pi)  =>  w:
-  const double Weight =
-      Volume / (4.0 * constants::Pi * double(NumParticles));
+  // field oscillates at omega_p = sqrt(4 pi n). Weight 0 picks the
+  // macro-weight that makes omega_p = 1 => period 2 pi; the perturbation
+  // is v = 0.01 sin(k x) at the box's fundamental mode.
+  const ScenarioSetup<double> S =
+      makeLangmuirScenario<double>({16, 4, 4}, 2, 0.0, 0.01);
 
   PicOptions<double> Options;
   Options.LightVelocity = 1.0;
   Options.SortEveryNSteps = 0;
-  PicSimulation<double> Sim(N, {0, 0, 0}, Step, NumParticles,
-                            ParticleTypeTable<double>::natural(), Options);
-
-  // Regular lattice of electrons, velocity perturbation v = v0 sin(k x).
-  const double V0 = 0.01;
-  const double K = 2 * constants::Pi / 8.0; // fundamental mode of the box
-  RandomStream<double> Rng(1);
-  for (Index C = 0; C < N.count(); ++C) {
-    Index I = C / (N.Ny * N.Nz);
-    Index J = (C / N.Nz) % N.Ny;
-    Index K3 = C % N.Nz;
-    for (int P = 0; P < PerCell; ++P) {
-      ParticleT<double> Particle;
-      Particle.Position = {(double(I) + 0.25 + 0.5 * P) * Step.X,
-                           (double(J) + 0.5) * Step.Y,
-                           (double(K3) + 0.5) * Step.Z};
-      double Vx = V0 * std::sin(K * Particle.Position.X);
-      Particle.Momentum = {Vx / std::sqrt(1 - Vx * Vx), 0, 0};
-      Particle.Weight = Weight;
-      Particle.Type = PS_Electron;
-      Sim.addParticle(Particle);
-    }
-  }
+  PicSimulation<double> Sim(S.Grid, S.Origin, S.Step,
+                            Index(S.Particles.size()), S.Types, Options);
+  seedScenario(Sim, S);
 
   // Track the field-energy oscillation: E-field energy peaks twice per
   // plasma period, first peak at t = pi/2 (quarter period).
@@ -148,8 +124,7 @@ TEST(PicIntegrationTest, LangmuirOscillationAtPlasmaFrequency) {
   const int StepsPerPeriod = int(2 * constants::Pi / Dt);
   double PeakEnergy = 0;
   double PeakTime = 0;
-  double MinAfterPeak = 1e300;
-  for (int S = 0; S < StepsPerPeriod; ++S) {
+  for (int I = 0; I < StepsPerPeriod; ++I) {
     Sim.step();
     double E = Sim.fieldEnergy();
     if (E > PeakEnergy) {
@@ -157,7 +132,6 @@ TEST(PicIntegrationTest, LangmuirOscillationAtPlasmaFrequency) {
       PeakTime = Sim.time();
     }
   }
-  (void)MinAfterPeak;
   ASSERT_GT(PeakEnergy, 0.0) << "space-charge field must build up";
   // First field-energy maximum at a quarter plasma period, t = pi/2
   // (tolerate the coarse-grid/finite-dt shift).

@@ -15,6 +15,7 @@
 
 #include "pic/FdtdSolver.h"
 #include "pic/PicSimulation.h"
+#include "pic/Scenarios.h"
 #include "pic/SpectralSolver.h"
 
 #include <gtest/gtest.h>
@@ -157,43 +158,21 @@ TEST(SpectralSolverTest, BeatsfdtdDispersionOnCoarseGrid) {
 TEST(SpectralPicTest, LangmuirOscillationWithSpectralSolver) {
   // The full PIC loop with the FFT-based solver: same Langmuir setup as
   // the FDTD integration test, same physics out.
-  const GridSize N{16, 4, 4};
   PicOptions<double> Options;
   Options.LightVelocity = 1.0;
   Options.Solver = FieldSolverKind::Spectral;
   Options.SortEveryNSteps = 0;
   Options.TimeStep = 0.1; // beyond any FDTD concern; spectral is exact
-  const Vector3<double> Step(0.5, 0.5, 0.5);
-  const int PerCell = 2;
-  const Index NumParticles = N.count() * PerCell;
-  const double Volume = 8.0 * 2.0 * 2.0;
-  const double Weight =
-      Volume / (4.0 * constants::Pi * double(NumParticles));
-
-  PicSimulation<double> Sim(N, {0, 0, 0}, Step, NumParticles,
-                            ParticleTypeTable<double>::natural(), Options);
-  const double V0 = 0.01;
-  const double K = 2 * constants::Pi / 8.0;
-  for (Index C = 0; C < N.count(); ++C) {
-    Index I = C / (N.Ny * N.Nz);
-    Index J = (C / N.Nz) % N.Ny;
-    Index K3 = C % N.Nz;
-    for (int P = 0; P < PerCell; ++P) {
-      ParticleT<double> Particle;
-      Particle.Position = {(double(I) + 0.25 + 0.5 * P) * Step.X,
-                           (double(J) + 0.5) * Step.Y,
-                           (double(K3) + 0.5) * Step.Z};
-      double Vx = V0 * std::sin(K * Particle.Position.X);
-      Particle.Momentum = {Vx / std::sqrt(1 - Vx * Vx), 0, 0};
-      Particle.Weight = Weight;
-      Sim.addParticle(Particle);
-    }
-  }
+  const ScenarioSetup<double> S =
+      makeLangmuirScenario<double>({16, 4, 4}, 2, 0.0, 0.01);
+  PicSimulation<double> Sim(S.Grid, S.Origin, S.Step,
+                            Index(S.Particles.size()), S.Types, Options);
+  seedScenario(Sim, S);
 
   // First field-energy peak at a quarter plasma period (t = pi/2).
   double PeakEnergy = 0, PeakTime = 0;
   const int Steps = int(2 * constants::Pi / Sim.timeStep());
-  for (int S = 0; S < Steps; ++S) {
+  for (int I = 0; I < Steps; ++I) {
     Sim.step();
     if (Sim.fieldEnergy() > PeakEnergy) {
       PeakEnergy = Sim.fieldEnergy();

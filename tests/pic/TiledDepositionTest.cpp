@@ -11,15 +11,15 @@
 /// registered backend, both particle layouts, both deposition schemes and
 /// any tile count — because every J node is owned by exactly one tile and
 /// folded in global particle order (the determinism argument in
-/// docs/ARCHITECTURE.md). On top sit the PIC-level checks: cross-backend
-/// state-hash equivalence of whole simulations and the discrete
-/// continuity equation d(rho)/dt + div J = 0 under a parallel deposit.
+/// docs/ARCHITECTURE.md). On top sits the discrete continuity equation
+/// d(rho)/dt + div J = 0 under a parallel deposit; whole-simulation
+/// state hashes across deposit configurations are rows of
+/// tests/pic/EquivalenceMatrixTest.cpp.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "exec/BackendRegistry.h"
 #include "minisycl/minisycl.h"
-#include "pic/Diagnostics.h"
 #include "pic/PicSimulation.h"
 #include "pic/TiledCurrentAccumulator.h"
 #include "support/Random.h"
@@ -218,277 +218,6 @@ TEST(TiledDepositionTest, TileCountClampsToPlaneCount) {
   EXPECT_EQ(A.tileCount(), 8);
   TiledCurrentAccumulator<double> B({8, 4, 4}, {0, 0, 0}, {1, 1, 1}, 0);
   EXPECT_EQ(B.tileCount(), 1);
-}
-
-//===----------------------------------------------------------------------===//
-// Simulation-level cross-backend state-hash equivalence
-//===----------------------------------------------------------------------===//
-
-/// A small Langmuir-style simulation advanced \p Steps steps, with the
-/// deposit stage configured as requested; \returns the full state hash.
-template <typename Array>
-std::uint64_t simulationHash(const std::string &DepositBackend, int Tiles,
-                             int Threads, bool ChargeConserving, int Steps) {
-  const GridSize N{12, 4, 4};
-  PicOptions<double> Options;
-  Options.LightVelocity = 1.0;
-  Options.SortEveryNSteps = 7; // exercise re-sorting mid-run
-  Options.ChargeConserving = ChargeConserving;
-  Options.DepositBackend = DepositBackend;
-  Options.DepositTiles = Tiles;
-  Options.DepositThreads = Threads;
-  const int PerCell = 2;
-  PicSimulation<double, Array> Sim(N, {0, 0, 0}, {0.5, 0.5, 0.5},
-                                   N.count() * PerCell,
-                                   ParticleTypeTable<double>::natural(),
-                                   Options);
-  for (Index C = 0; C < N.count(); ++C) {
-    const Index I = C / (N.Ny * N.Nz);
-    const Index J = (C / N.Nz) % N.Ny;
-    const Index K = C % N.Nz;
-    for (int P = 0; P < PerCell; ++P) {
-      ParticleT<double> Particle;
-      Particle.Position = {(double(I) + 0.25 + 0.5 * P) * 0.5,
-                           (double(J) + 0.5) * 0.5, (double(K) + 0.5) * 0.5};
-      const double Vx =
-          0.02 * std::sin(2.0 * constants::Pi * Particle.Position.X / 6.0);
-      Particle.Momentum = {Vx / std::sqrt(1 - Vx * Vx), 0, 0};
-      Particle.Weight = 0.05;
-      Particle.Type = PS_Electron;
-      Sim.addParticle(Particle);
-    }
-  }
-  Sim.run(Steps);
-  return picStateHash(Sim.particles(), Sim.grid());
-}
-
-TEST(TiledDepositionTest, SimulationHashInvariantAcrossBackendsAndTiles) {
-  const std::uint64_t Reference =
-      simulationHash<ParticleArrayAoS<double>>("serial", 1, 0, true, 30);
-  for (const std::string &Name : exec::BackendRegistry::instance().names())
-    for (int Tiles : {1, 3, 5, 12})
-      EXPECT_EQ(simulationHash<ParticleArrayAoS<double>>(Name, Tiles, 0, true,
-                                                         30),
-                Reference)
-          << "backend=" << Name << " tiles=" << Tiles;
-  // Pinned worker counts must not change the result either.
-  EXPECT_EQ(simulationHash<ParticleArrayAoS<double>>("openmp", 5, 2, true, 30),
-            Reference);
-  EXPECT_EQ(simulationHash<ParticleArrayAoS<double>>("dpcpp", 5, 3, true, 30),
-            Reference);
-  // Shard axis: the sharded backend splits the deposit into per-shard
-  // accumulate launches (threads = shard count); every shard count
-  // must reproduce the same bits — including 13 shards over 5 tiles.
-  for (int Shards : {1, 2, 5, 13})
-    EXPECT_EQ(simulationHash<ParticleArrayAoS<double>>("sharded", 5, Shards,
-                                                       true, 30),
-              Reference)
-        << "shards=" << Shards;
-}
-
-TEST(TiledDepositionTest, SimulationHashInvariantForSoALayout) {
-  const std::uint64_t Reference =
-      simulationHash<ParticleArraySoA<double>>("serial", 1, 0, true, 25);
-  for (const std::string &Name : exec::BackendRegistry::instance().names())
-    EXPECT_EQ(simulationHash<ParticleArraySoA<double>>(Name, 4, 0, true, 25),
-              Reference)
-        << "backend=" << Name;
-}
-
-TEST(TiledDepositionTest, SimulationHashInvariantForDirectScheme) {
-  const std::uint64_t Reference =
-      simulationHash<ParticleArrayAoS<double>>("serial", 1, 0, false, 20);
-  for (const std::string &Name : exec::BackendRegistry::instance().names())
-    EXPECT_EQ(simulationHash<ParticleArrayAoS<double>>(Name, 5, 0, false, 20),
-              Reference)
-        << "backend=" << Name;
-}
-
-/// Like simulationHash, but configures the *push* stage: the sharded
-/// push backend splits the stage-1 launch into one block per shard
-/// (PicSimulation.h), which must reproduce the fused serial stage
-/// bit-for-bit for every shard count x deposit configuration.
-template <typename Array>
-std::uint64_t pushSimulationHash(const std::string &PushBackend, int Threads,
-                                 const std::string &DepositBackend, int Tiles,
-                                 int Steps) {
-  const GridSize N{12, 4, 4};
-  PicOptions<double> Options;
-  Options.LightVelocity = 1.0;
-  Options.SortEveryNSteps = 7;
-  Options.PushBackend = PushBackend;
-  Options.PushThreads = Threads;
-  Options.DepositBackend = DepositBackend;
-  Options.DepositTiles = Tiles;
-  const int PerCell = 2;
-  PicSimulation<double, Array> Sim(N, {0, 0, 0}, {0.5, 0.5, 0.5},
-                                   N.count() * PerCell,
-                                   ParticleTypeTable<double>::natural(),
-                                   Options);
-  for (Index C = 0; C < N.count(); ++C) {
-    const Index I = C / (N.Ny * N.Nz);
-    const Index J = (C / N.Nz) % N.Ny;
-    const Index K = C % N.Nz;
-    for (int P = 0; P < PerCell; ++P) {
-      ParticleT<double> Particle;
-      Particle.Position = {(double(I) + 0.25 + 0.5 * P) * 0.5,
-                           (double(J) + 0.5) * 0.5, (double(K) + 0.5) * 0.5};
-      const double Vx =
-          0.02 * std::sin(2.0 * constants::Pi * Particle.Position.X / 6.0);
-      Particle.Momentum = {Vx / std::sqrt(1 - Vx * Vx), 0, 0};
-      Particle.Weight = 0.05;
-      Particle.Type = PS_Electron;
-      Sim.addParticle(Particle);
-    }
-  }
-  Sim.run(Steps);
-  return picStateHash(Sim.particles(), Sim.grid());
-}
-
-TEST(TiledDepositionTest, SimulationHashInvariantForShardedPush) {
-  const std::uint64_t Reference = pushSimulationHash<
-      ParticleArrayAoS<double>>("serial", 0, "serial", 1, 30);
-  for (int Shards : {1, 2, 3, 4, 8})
-    EXPECT_EQ(pushSimulationHash<ParticleArrayAoS<double>>(
-                  "sharded", Shards, "serial", 1, 30),
-              Reference)
-        << "shards=" << Shards;
-  // Sharded push combined with parallel tiled deposition — the full
-  // asynchronous loop against the all-serial reference.
-  EXPECT_EQ(pushSimulationHash<ParticleArrayAoS<double>>("sharded", 2,
-                                                         "openmp", 5, 30),
-            Reference);
-  EXPECT_EQ(pushSimulationHash<ParticleArrayAoS<double>>("sharded", 2,
-                                                         "sharded", 3, 30),
-            Reference);
-}
-
-TEST(TiledDepositionTest, SimulationHashInvariantForShardedPushSoA) {
-  const std::uint64_t Reference = pushSimulationHash<
-      ParticleArraySoA<double>>("serial", 0, "serial", 1, 25);
-  for (int Shards : {2, 5})
-    EXPECT_EQ(pushSimulationHash<ParticleArraySoA<double>>(
-                  "sharded", Shards, "dpcpp", 4, 25),
-              Reference)
-        << "shards=" << Shards;
-}
-
-//===----------------------------------------------------------------------===//
-// Simulation-level state-hash equivalence across *field* backends
-//===----------------------------------------------------------------------===//
-
-/// Like simulationHash, but configures the Maxwell field-solve stage
-/// (and optionally the other two) on a power-of-two grid so both the
-/// FDTD and the spectral solver run the same setup. The x-slab-tiled,
-/// halo-exchanged FDTD launches and the k-space-parallel spectral
-/// launches must reproduce the all-serial loop bit-for-bit for every
-/// backend x tile count — including asynchronous field backends, where
-/// the solve event-chains against the deposit.
-template <typename Array>
-std::uint64_t fieldSimulationHash(FieldSolverKind Solver,
-                                  const std::string &FieldBackend,
-                                  int FieldTiles, int FieldThreads, int Steps,
-                                  const std::string &PushBackend = "serial",
-                                  const std::string &DepositBackend = "serial",
-                                  int DepositTiles = 1) {
-  const GridSize N{16, 4, 4};
-  PicOptions<double> Options;
-  Options.LightVelocity = 1.0;
-  Options.SortEveryNSteps = 7;
-  Options.Solver = Solver;
-  Options.PushBackend = PushBackend;
-  Options.DepositBackend = DepositBackend;
-  Options.DepositTiles = DepositTiles;
-  Options.FieldBackend = FieldBackend;
-  Options.FieldTiles = FieldTiles;
-  Options.FieldThreads = FieldThreads;
-  const int PerCell = 2;
-  PicSimulation<double, Array> Sim(N, {0, 0, 0}, {0.5, 0.5, 0.5},
-                                   N.count() * PerCell,
-                                   ParticleTypeTable<double>::natural(),
-                                   Options);
-  for (Index C = 0; C < N.count(); ++C) {
-    const Index I = C / (N.Ny * N.Nz);
-    const Index J = (C / N.Nz) % N.Ny;
-    const Index K = C % N.Nz;
-    for (int P = 0; P < PerCell; ++P) {
-      ParticleT<double> Particle;
-      Particle.Position = {(double(I) + 0.25 + 0.5 * P) * 0.5,
-                           (double(J) + 0.5) * 0.5, (double(K) + 0.5) * 0.5};
-      const double Vx =
-          0.02 * std::sin(2.0 * constants::Pi * Particle.Position.X / 8.0);
-      Particle.Momentum = {Vx / std::sqrt(1 - Vx * Vx), 0, 0};
-      Particle.Weight = 0.05;
-      Particle.Type = PS_Electron;
-      Sim.addParticle(Particle);
-    }
-  }
-  Sim.run(Steps);
-  return picStateHash(Sim.particles(), Sim.grid());
-}
-
-TEST(TiledDepositionTest, SimulationHashInvariantAcrossFieldBackendsFdtd) {
-  const std::uint64_t Reference = fieldSimulationHash<ParticleArrayAoS<double>>(
-      FieldSolverKind::Fdtd, "serial", 1, 0, 100);
-  for (const std::string &Name : exec::BackendRegistry::instance().names())
-    for (int Tiles : {1, 4, 7})
-      EXPECT_EQ(fieldSimulationHash<ParticleArrayAoS<double>>(
-                    FieldSolverKind::Fdtd, Name, Tiles, 0, 100),
-                Reference)
-          << "field backend=" << Name << " tiles=" << Tiles;
-  // Pinned worker counts must not change the result either.
-  EXPECT_EQ(fieldSimulationHash<ParticleArrayAoS<double>>(
-                FieldSolverKind::Fdtd, "openmp", 7, 2, 100),
-            Reference);
-}
-
-TEST(TiledDepositionTest, SimulationHashInvariantAcrossFieldBackendsSpectral) {
-  const std::uint64_t Reference = fieldSimulationHash<ParticleArrayAoS<double>>(
-      FieldSolverKind::Spectral, "serial", 1, 0, 100);
-  for (const std::string &Name : exec::BackendRegistry::instance().names())
-    for (int Tiles : {1, 4, 7})
-      EXPECT_EQ(fieldSimulationHash<ParticleArrayAoS<double>>(
-                    FieldSolverKind::Spectral, Name, Tiles, 0, 100),
-                Reference)
-          << "field backend=" << Name << " tiles=" << Tiles;
-}
-
-TEST(TiledDepositionTest, SimulationHashInvariantAcrossFieldBackendsSoA) {
-  const std::uint64_t Reference = fieldSimulationHash<ParticleArraySoA<double>>(
-      FieldSolverKind::Fdtd, "serial", 1, 0, 100);
-  for (const std::string &Name : exec::BackendRegistry::instance().names())
-    EXPECT_EQ(fieldSimulationHash<ParticleArraySoA<double>>(
-                  FieldSolverKind::Fdtd, Name, 4, 0, 100),
-              Reference)
-        << "field backend=" << Name;
-}
-
-TEST(TiledDepositionTest, SimulationHashInvariantForAsyncFieldChain) {
-  // The asynchronous field path: the solve's launches event-chain
-  // against the deposit (the first FDTD half-step may overlap
-  // it) — and the bits still cannot move, for any shard count x tile
-  // count x solver, including the fully asynchronous loop where all
-  // three stages run on sharded backends.
-  for (FieldSolverKind Solver :
-       {FieldSolverKind::Fdtd, FieldSolverKind::Spectral}) {
-    const std::uint64_t Reference =
-        fieldSimulationHash<ParticleArrayAoS<double>>(Solver, "serial", 1, 0,
-                                                      100);
-    for (int Shards : {1, 2})
-      for (int Tiles : {1, 4, 7})
-        EXPECT_EQ(fieldSimulationHash<ParticleArrayAoS<double>>(
-                      Solver, "sharded", Tiles, Shards, 100),
-                  Reference)
-            << "shards=" << Shards << " tiles=" << Tiles;
-    // Async field + parallel tiled deposit on another backend.
-    EXPECT_EQ(fieldSimulationHash<ParticleArrayAoS<double>>(
-                  Solver, "sharded", 4, 2, 100, "serial", "openmp", 5),
-              Reference);
-    // The fully asynchronous five-stage loop vs the all-serial one.
-    EXPECT_EQ(fieldSimulationHash<ParticleArrayAoS<double>>(
-                  Solver, "sharded", 4, 2, 100, "sharded", "sharded", 3),
-              Reference);
-  }
 }
 
 //===----------------------------------------------------------------------===//

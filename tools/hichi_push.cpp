@@ -27,11 +27,14 @@
 
 #include "core/Core.h"
 #include "core/RadiationReaction.h"
+#include "exec/BackendRegistry.h"
+#include "exec/StepLoop.h"
 #include "fields/DipoleWave.h"
 #include "fields/PrecalculatedFields.h"
 #include "perfmodel/WorkloadModel.h"
 #include "support/ArgParse.h"
 #include "support/BenchReport.h"
+#include "support/Timer.h"
 
 #include <algorithm>
 #include <cstdint>
