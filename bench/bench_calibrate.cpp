@@ -72,14 +72,14 @@ SubmitOverhead measureSubmitOverhead(const std::string &Name, int Repeats,
   RunStats Stats;
   // Warm-up batch: pools spin up, queues JIT-charge the kernel identity.
   for (int I = 0; I < LaunchesPerBatch; ++I)
-    Backend->launch(Spec, Kernel, Ctx, Stats);
+    Backend->submit(Spec, Kernel, Ctx, Stats).wait();
 
   std::vector<double> PerLaunchNs;
   PerLaunchNs.reserve(std::size_t(Repeats));
   for (int R = 0; R < Repeats; ++R) {
     Stopwatch Watch;
     for (int I = 0; I < LaunchesPerBatch; ++I)
-      Backend->launch(Spec, Kernel, Ctx, Stats);
+      Backend->submit(Spec, Kernel, Ctx, Stats).wait();
     PerLaunchNs.push_back(double(Watch.elapsedNanoseconds()) /
                           LaunchesPerBatch);
   }

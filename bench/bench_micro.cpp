@@ -241,7 +241,7 @@ void backendLaunchBody(benchmark::State &State, const std::string &Name) {
       Body, hichi::exec::kernelIdentity<decltype(Body)>());
   hichi::RunStats Stats;
   for (auto _ : State)
-    Backend->launch({1, 0, 1}, Kernel, Ctx, Stats);
+    Backend->submit({1, 0, 1}, Kernel, Ctx, Stats).wait();
 }
 
 void registerBackendLaunchBenchmarks() {

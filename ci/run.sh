@@ -22,15 +22,17 @@ JOBS="$(nproc 2>/dev/null || echo 2)"
 # the threaded parts — the exec backends, the thread pool, the serve
 # scheduler and registry, and the shard, graph and window rows of the
 # PIC equivalence matrix — then stops: it is a separate CI job, not a
-# prefix of the Release one. address,undefined also runs the core target
-# (the checkpoint loader's hostile-input table). Compiler runtimes only,
-# nothing to download.
+# prefix of the Release one. address,undefined also runs the core and
+# perfmodel targets (the hostile-input tables of the checkpoint and
+# machine-profile loaders; serve holds the job-spec one). Compiler
+# runtimes only, nothing to download.
 if [ -n "${HICHI_SANITIZE:-}" ]; then
   case "$HICHI_SANITIZE" in
     thread)
       SAN_TARGETS="" SAN_TESTS="" ;;
     address,undefined)
-      SAN_TARGETS="hichi_core_tests" SAN_TESTS="core|" ;;
+      SAN_TARGETS="hichi_core_tests hichi_perfmodel_tests"
+      SAN_TESTS="core|perfmodel|" ;;
     *)
       echo "ci/run.sh: HICHI_SANITIZE must be 'thread' or" \
            "'address,undefined', not '$HICHI_SANITIZE'" >&2

@@ -27,6 +27,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "exec/Autotuner.h"
 #include "pic/Diagnostics.h"
 #include "pic/PicSimulation.h"
 #include "pic/Scenarios.h"
@@ -107,7 +108,7 @@ int main(int Argc, char **Argv) {
                  "(short scratch runs; 0 = roofline seed only)",
                  "0");
   Args.addFlag("stats", "print per-step submit-overhead counters (launches, "
-                        "specs built, microseconds inside submit) per stage");
+                        "microseconds inside submit) per stage");
   Args.addFlag("list-runners", "list registered execution backends and exit");
   if (!Args.parse(Argc, Argv)) {
     std::fprintf(stderr, "error: %s\n", Args.error().c_str());
@@ -332,8 +333,22 @@ int main(int Argc, char **Argv) {
   }
   std::printf("energy exchange: kinetic %.3e <-> field %.3e (erg-equivalents)\n",
               Sim.kineticEnergy(), Sim.fieldEnergy());
-  std::printf("push stage ran on '%s': %.2f ms total\n",
-              Sim.pushBackend().name(), Sim.pushStats().HostNs / 1e6);
+  // Classic steps time each stage's wall. A replayed graph step has no
+  // stage boundaries, so graph mode prints each stage's launch-ledger
+  // kernel time instead (summed over lanes on a sharded backend).
+  const bool Graphed = Sim.usesStepGraph();
+  auto PrintStageTime = [&](const exec::ExecutionBackend &Exec,
+                            const RunStats &Wall, const RunStats &Ledger) {
+    if (!Graphed)
+      std::printf("%.2f ms total\n", Wall.HostNs / 1e6);
+    else if (Exec.shardCount() > 0)
+      std::printf("%.2f ms kernel time (summed over %d lanes)\n",
+                  Ledger.HostNs / 1e6, Exec.shardCount());
+    else
+      std::printf("%.2f ms kernel time\n", Ledger.HostNs / 1e6);
+  };
+  std::printf("push stage ran on '%s': ", Sim.pushBackend().name());
+  PrintStageTime(Sim.pushBackend(), Sim.pushStats(), Sim.pushLaunchStats());
   const std::vector<exec::ShardStat> ShardStats = Sim.shardStats();
   if (!ShardStats.empty()) {
     std::printf("  sharded execution: %zu shards, item imbalance %.2fx "
@@ -346,12 +361,13 @@ int main(int Argc, char **Argv) {
                   ShardStats[S].BusyNs / 1e6,
                   100.0 * exec::shardOccupancy(ShardStats, S));
   }
-  std::printf("deposit stage ran on '%s' (%d tiles): %.2f ms total\n",
-              Sim.depositBackend().name(), Sim.depositTileCount(),
-              Sim.depositStats().HostNs / 1e6);
-  std::printf("field solve (%s) ran on '%s' (%d tiles): %.2f ms total\n",
-              SolverName.c_str(), Sim.fieldBackend().name(),
-              Sim.fieldTileCount(), Sim.fieldStats().HostNs / 1e6);
+  std::printf("deposit stage ran on '%s' (%d tiles): ",
+              Sim.depositBackend().name(), Sim.depositTileCount());
+  PrintStageTime(Sim.depositBackend(), Sim.depositStats(),
+                 Sim.depositLaunchStats());
+  std::printf("field solve (%s) ran on '%s' (%d tiles): ", SolverName.c_str(),
+              Sim.fieldBackend().name(), Sim.fieldTileCount());
+  PrintStageTime(Sim.fieldBackend(), Sim.fieldStats(), Sim.fieldLaunchStats());
   if (Sim.rebalanceStats().Checks > 0) {
     const RebalanceStats RS = Sim.rebalanceStats();
     std::printf("rebalancer: %lld checks, %lld fires (threshold %.2f, last "
@@ -375,16 +391,16 @@ int main(int Argc, char **Argv) {
                 Sim.graphReplayCount(), Sim.graphStats().HostNs / 1e6);
   }
   if (Args.getFlag("stats")) {
-    // The submit-overhead ledger: what the step spends constructing
-    // specs and driving submit() outside kernel bodies — the cost a
+    // The submit-overhead ledger: what the step spends driving submit()
+    // outside kernel bodies — the cost a
     // captured graph exists to collapse (launches stay at the capture
     // step's count under --graph).
     const double Steps = double(TotalSteps > 0 ? TotalSteps : 1);
     auto PrintLedger = [Steps](const char *Label, const RunStats &S) {
-      std::printf("  %-12s %8lld launches (%6.2f/step)  %8lld specs  "
+      std::printf("  %-12s %8lld launches (%6.2f/step)  "
                   "%10.2f us submit (%8.3f us/step)\n",
                   Label, S.Launches, double(S.Launches) / Steps,
-                  S.SpecsBuilt, S.SubmitNs / 1e3, S.SubmitNs / 1e3 / Steps);
+                  S.SubmitNs / 1e3, S.SubmitNs / 1e3 / Steps);
     };
     std::printf("submit-overhead ledger over %d steps:\n", TotalSteps);
     PrintLedger("push", Sim.pushLaunchStats());

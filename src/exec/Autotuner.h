@@ -39,10 +39,9 @@
 /// The host's own profile resolves through hostProfile():
 /// HICHI_MACHINE_PROFILE names a profile JSON (e.g. the bench_calibrate
 /// artifact) to load; otherwise a tiny bounded in-process measurement
-/// runs once per process. The plan is surfaced three ways: the "auto"
+/// runs once per process. The plan is surfaced two ways: the "auto"
 /// registry entry (a factory that delegates to the planned push
-/// backend), PicOptions::Tune (applyTunePlan fills every stage knob the
-/// caller left at its built-in default), and `pic_langmuir --tune`.
+/// backend) and `pic_langmuir --tune`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -128,34 +127,6 @@ public:
 /// BackendRegistry constructor; safe to call again (duplicate names are
 /// rejected).
 bool registerAutoBackend(BackendRegistry &Registry);
-
-/// Fills every stage knob of \p Options (a pic::PicOptions; templated so
-/// the exec layer needs no pic include) that is still at its built-in
-/// default from \p Plan: stage backends left at "serial", thread/tile
-/// counts left at 0, and step-graph mode when off. Knobs the
-/// caller set explicitly always win — assignment order is the
-/// precedence rule (CLI flag > env > plan > default).
-template <typename PicOptionsT>
-void applyTunePlan(PicOptionsT &Options, const TunePlan &Plan) {
-  if (Options.PushBackend == "serial")
-    Options.PushBackend = Plan.Push.Backend;
-  if (Options.PushThreads == 0)
-    Options.PushThreads = Plan.Push.Threads;
-  if (Options.DepositBackend == "serial")
-    Options.DepositBackend = Plan.Deposit.Backend;
-  if (Options.DepositThreads == 0)
-    Options.DepositThreads = Plan.Deposit.Threads;
-  if (Options.DepositTiles == 0)
-    Options.DepositTiles = Plan.Deposit.Tiles;
-  if (Options.FieldBackend == "serial")
-    Options.FieldBackend = Plan.Field.Backend;
-  if (Options.FieldThreads == 0)
-    Options.FieldThreads = Plan.Field.Threads;
-  if (Options.FieldTiles == 0)
-    Options.FieldTiles = Plan.Field.Tiles;
-  if (!Options.UseStepGraph)
-    Options.UseStepGraph = Plan.UseStepGraph;
-}
 
 } // namespace exec
 } // namespace hichi

@@ -25,24 +25,30 @@
 /// set LaunchSpec::GrainHint = 1 so dynamically scheduled backends treat
 /// each item as one schedulable chunk.
 ///
-/// **Submission model.** The primary entry point is the event-based
-/// submit(): it enqueues one launch and returns an ExecEvent — an
-/// awaitable completion handle. Launches chain through
-/// LaunchSpec::DependsOn: a backend must not start a launch before every
-/// listed event has completed. Synchronous backends (serial, openmp,
-/// dpcpp on CPU queues) run the launch inside submit() and return an
-/// already-complete event; asynchronous backends (sharded, dpcpp on
-/// non-blocking simulated-GPU queues) return early and execute later.
-/// The historic blocking launch() survives as a thin
-/// `submit(...).wait()` facade, so call sites that want synchronous
-/// semantics keep their exact shape.
+/// **Submission model.** Every launch is counted and timed in one
+/// place, submit() (RunStats::Launches / SubmitNs). It enqueues one
+/// launch and returns an ExecEvent — an awaitable completion handle.
+/// Launches chain through LaunchSpec::DependsOn: a backend must not start
+/// a launch before every listed event has completed. Synchronous
+/// backends (serial, openmp, dpcpp on CPU queues) run the launch inside
+/// submit() and return an already-complete event; asynchronous backends
+/// (sharded, dpcpp on non-blocking simulated-GPU queues) return early and
+/// execute later. A caller that wants blocking semantics waits the event:
+/// `submit(...).wait()`. The PIC and solver drivers reach submit()
+/// through one helper, submitCachedLaunch(), which parks the kernel body
+/// in a KernelCache and builds a single-step LaunchSpec; only runStepLoop
+/// (StepLoop.h), whose fused groups span several steps, builds its specs
+/// itself.
 ///
-/// Lifetime contract for asynchronous submission: the kernel's referee
-/// and the RunStats object must outlive the launch — keep them alive
-/// until the returned event (or a dependent one) has been waited on, and
-/// read the stats only after that wait. Dependencies must point to
-/// events of launches submitted *earlier* (on any backend or queue);
-/// forward or cyclic dependencies are user error and may deadlock.
+/// Lifetime contract for asynchronous submission: the kernel body and
+/// the RunStats object must outlive the launch — keep them alive until
+/// the returned event (or a dependent one) has been waited on, and read
+/// the stats only after that wait. A KernelCache provides the body
+/// storage: a driver that issues the same chain every step keeps one as
+/// a member, a one-shot call site keeps a local one until its final
+/// wait. Dependencies must point to events of launches submitted
+/// *earlier* (on any backend or queue); forward or cyclic dependencies
+/// are user error and may deadlock.
 ///
 /// Layering: this header is dependency-light (no minisycl/threading
 /// includes) so that templated drivers anywhere in the tree can accept an
@@ -82,14 +88,11 @@ struct RunStats {
   bool Modeled = false; ///< true if ModeledNs came from the device model
 
   /// Submit-overhead counters (maintained by ExecutionBackend::submit):
-  /// how many launches were submitted against this stats object, how
-  /// many LaunchSpecs the drivers constructed for them (graph replays
-  /// re-issue prebuilt specs, so replayed steps leave SpecsBuilt at 0),
-  /// and the wall nanoseconds spent inside submit() *outside* kernel
-  /// bodies — the per-launch overhead a compiled step graph exists to
-  /// collapse.
+  /// how many launches were submitted against this stats object (graph
+  /// replays re-issue captured nodes without counting them), and the
+  /// wall nanoseconds spent inside submit() *outside* kernel bodies —
+  /// the per-launch overhead a compiled step graph exists to collapse.
   long long Launches = 0;
-  long long SpecsBuilt = 0;
   double SubmitNs = 0;
 };
 
@@ -116,15 +119,6 @@ struct ExecutionContext {
   minisycl::queue *Queue = nullptr;
   const gpusim::KernelProfile *GpuWorkload = nullptr;
 };
-
-/// Owning storage for kernel bodies submitted asynchronously: StepKernel
-/// is non-owning, so a driver that submits a chain of launches and waits
-/// only at the end parks each body here (type-erased, shared) and clears
-/// the container after the final wait. Helpers that build such chains
-/// (TiledCurrentAccumulator::submitDeposit, FdtdSolver::submitStep,
-/// SpectralSolver::submitStep) take one by reference so a whole
-/// deposit→field chain shares a single lifetime scope.
-using KernelKeepAlive = std::vector<std::shared_ptr<const void>>;
 
 /// \returns a stable identity for kernel type \p KernelFn without RTTI:
 /// the address of a function-template-static is unique per instantiation.
@@ -238,36 +232,13 @@ public:
   /// waiting. See the file comment for the asynchronous lifetime
   /// contract.
   ///
-  /// Non-virtual: wraps the backend's submitImpl() with the
-  /// submit-overhead ledger (RunStats::Launches / SubmitNs). Synchronous
-  /// backends run kernels *inside* submitImpl; they report that time via
-  /// noteInlineKernelNs() so SubmitNs measures bookkeeping only, and a
-  /// thread-local depth counter keeps decorator backends (graph capture)
-  /// from double-counting the launches they forward.
+  /// Non-virtual: counts the launch and times the backend's submitImpl()
+  /// (see timedSubmitImpl). This is the only place a launch is counted.
   ExecEvent submit(const LaunchSpec &Spec, const StepKernel &Kernel,
                    const ExecutionContext &Ctx, RunStats &Stats) {
-    ThreadSubmitState &TS = threadSubmitState();
-    const bool Outermost = TS.Depth == 0;
-    ++TS.Depth;
-    const double InlineBefore = TS.InlineKernelNs;
-    Stopwatch Watch;
-    ExecEvent Ev = submitImpl(Spec, Kernel, Ctx, Stats);
-    const double WallNs = double(Watch.elapsedNanoseconds());
-    --TS.Depth;
-    if (Outermost) {
-      const double InlineNs = TS.InlineKernelNs - InlineBefore;
-      Stats.Launches += 1;
-      Stats.SubmitNs += WallNs > InlineNs ? WallNs - InlineNs : 0.0;
-    }
+    ExecEvent Ev = timedSubmitImpl(Spec, Kernel, Ctx, Stats);
+    Stats.Launches += 1;
     return Ev;
-  }
-
-  /// The historic blocking API: executes \p Kernel over \p Spec and
-  /// returns once the work (and its stats accumulation) is complete. A
-  /// thin facade over submit().
-  void launch(const LaunchSpec &Spec, const StepKernel &Kernel,
-              const ExecutionContext &Ctx, RunStats &Stats) {
-    submit(Spec, Kernel, Ctx, Stats).wait();
   }
 
 protected:
@@ -289,56 +260,40 @@ protected:
   /// wrapper can subtract it from the measured overhead. Asynchronous
   /// backends, whose kernels run on lane/pool threads, report nothing —
   /// their whole submit wall *is* overhead.
-  static void noteInlineKernelNs(double Ns) {
-    threadSubmitState().InlineKernelNs += Ns;
-  }
+  static void noteInlineKernelNs(double Ns) { inlineKernelNs() += Ns; }
 
 private:
-  /// Graph replay re-issues captured nodes through submitImpl directly
-  /// (one graph issue, not N counted launches) and reuses the
-  /// inline-kernel ledger for its own overhead accounting (StepGraph.h).
+  /// Graph replay re-issues captured nodes through timedSubmitImpl (one
+  /// graph issue, not N counted launches), and graph capture forwards
+  /// each submission to the wrapped backend's submitImpl, so the outer
+  /// submit() counts it once (StepGraph.h).
   friend class StepGraph;
+  friend class GraphCapture;
 
-  struct ThreadSubmitState {
-    int Depth = 0;           ///< nesting of decorator submits on this thread
-    double InlineKernelNs = 0; ///< monotonic inline-kernel-time ledger
-  };
-  static ThreadSubmitState &threadSubmitState() {
-    thread_local ThreadSubmitState TS;
-    return TS;
+  /// Runs submitImpl() and adds its wall time, minus the kernel time a
+  /// synchronous backend reported running inline, to \p Stats.SubmitNs.
+  ExecEvent timedSubmitImpl(const LaunchSpec &Spec, const StepKernel &Kernel,
+                            const ExecutionContext &Ctx, RunStats &Stats) {
+    const double InlineBefore = inlineKernelNs();
+    Stopwatch Watch;
+    ExecEvent Ev = submitImpl(Spec, Kernel, Ctx, Stats);
+    const double WallNs = double(Watch.elapsedNanoseconds());
+    const double InlineNs = inlineKernelNs() - InlineBefore;
+    Stats.SubmitNs += WallNs > InlineNs ? WallNs - InlineNs : 0.0;
+    return Ev;
+  }
+
+  /// This thread's monotonic inline-kernel-time ledger.
+  static double &inlineKernelNs() {
+    thread_local double Ns = 0;
+    return Ns;
   }
 };
 
-/// Submits \p Block as one single-step launch over \p Items items, with
-/// the body copied to the heap and parked in \p Keep so it outlives an
-/// asynchronous execution (the lifetime contract above). The shared
-/// submission shape of every event-chained tile/elementwise driver
-/// (tiled deposition, FDTD slabs, spectral passes): only Items,
-/// GrainHint and the dependency list vary.
-template <typename BlockFn>
-ExecEvent submitKeptLaunch(ExecutionBackend &Backend,
-                           const ExecutionContext &Ctx, RunStats &Stats,
-                           Index Items, Index GrainHint, BlockFn Block,
-                           const std::vector<ExecEvent> &DependsOn,
-                           KernelKeepAlive &Keep, int ShardAffinity = -1) {
-  auto Body = std::make_shared<BlockFn>(std::move(Block));
-  Keep.push_back(Body);
-  LaunchSpec Spec;
-  Spec.Items = Items;
-  Spec.StepBegin = 0;
-  Spec.StepEnd = 1;
-  Spec.GrainHint = GrainHint;
-  Spec.ShardAffinity = ShardAffinity;
-  Spec.DependsOn = DependsOn;
-  Stats.SpecsBuilt += 1;
-  return Backend.submit(Spec, StepKernel(*Body, kernelIdentity<BlockFn>()),
-                        Ctx, Stats);
-}
-
-/// Reusable owning storage for kernel bodies: the across-steps
-/// replacement for a per-step KernelKeepAlive. A driver that submits the
-/// same kernel sequence every step calls rewind() at the top of the step
-/// and emplace()s each body in submission order; a slot whose previous
+/// Owning storage for kernel bodies (StepKernel is non-owning). A
+/// driver that submits the same kernel sequence every step keeps one
+/// across steps, calls rewind() at the top of the step and emplace()s
+/// each body in submission order; a slot whose previous
 /// occupant has the same closure type is rebuilt *in place* (destroy +
 /// copy-construct into the existing heap allocation), so the steady
 /// state allocates nothing and kernel storage addresses stay stable —
@@ -392,9 +347,12 @@ private:
   std::size_t Cursor = 0;
 };
 
-/// submitKeptLaunch with the body parked in a reusable \p Cache instead
-/// of a per-step keep-alive vector — the zero-allocation steady-state
-/// submission shape for drivers that issue the same chain every step.
+/// The one launch helper: parks \p Block in \p Cache and submits it
+/// as one single-step launch over \p Items items after \p DependsOn,
+/// on shard lane \p ShardAffinity (-1 = any). Every driver (stage 1,
+/// the J clear, tiled deposition, FDTD slabs, spectral passes) submits
+/// through it; only Items, GrainHint, the dependency list and the
+/// affinity vary.
 template <typename BlockFn>
 ExecEvent submitCachedLaunch(ExecutionBackend &Backend,
                              const ExecutionContext &Ctx, RunStats &Stats,
@@ -409,24 +367,8 @@ ExecEvent submitCachedLaunch(ExecutionBackend &Backend,
   Spec.GrainHint = GrainHint;
   Spec.ShardAffinity = ShardAffinity;
   Spec.DependsOn = DependsOn;
-  Stats.SpecsBuilt += 1;
   return Backend.submit(Spec, StepKernel(Body, kernelIdentity<BlockFn>()),
                         Ctx, Stats);
-}
-
-/// submitKeptLaunch over a reusable KernelCache: the overload that lets
-/// chain drivers (deposit, FDTD, spectral) be templated on the
-/// keep-alive storage type — per-step KernelKeepAlive for one-shot call
-/// sites, KernelCache for steady-state steps and graph capture.
-template <typename BlockFn>
-ExecEvent submitKeptLaunch(ExecutionBackend &Backend,
-                           const ExecutionContext &Ctx, RunStats &Stats,
-                           Index Items, Index GrainHint, BlockFn Block,
-                           const std::vector<ExecEvent> &DependsOn,
-                           KernelCache &Cache, int ShardAffinity = -1) {
-  return submitCachedLaunch(Backend, Ctx, Stats, Items, GrainHint,
-                            std::move(Block), DependsOn, Cache,
-                            ShardAffinity);
 }
 
 } // namespace exec

@@ -18,9 +18,7 @@
 /// taken one step further than the per-launch NUMA split of dpcpp-numa:
 /// work does not merely *run* inside a domain for one launch — the same
 /// shard processes the same item slice every step, on the same worker,
-/// so the slice's working set stays with one core. It is also the
-/// stepping stone to multi-process/multi-node execution: a shard's lane
-/// is exactly the seam a process boundary would cut along.
+/// so the slice's working set stays with one core.
 ///
 /// Submission model (genuinely asynchronous — submit() returns before
 /// execution):

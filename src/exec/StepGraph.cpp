@@ -6,8 +6,6 @@
 
 #include "exec/StepGraph.h"
 
-#include "support/Timer.h"
-
 #include <cassert>
 
 using namespace hichi;
@@ -66,22 +64,12 @@ void StepGraph::replayNoWait(const ExecutionContext &Ctx) {
     N.Spec.DependsOn.clear();
     for (int D : N.Deps)
       N.Spec.DependsOn.push_back(ReplayEvents[std::size_t(D)]);
-    // Issue directly through submitImpl (StepGraph is a friend of
+    // Issue through the timed submitImpl (StepGraph is a friend of
     // ExecutionBackend): a replayed node is part of one compiled graph
-    // issue, not a counted launch, so Launches/SpecsBuilt stay flat.
-    // The residual re-issue cost still lands in the node's SubmitNs —
-    // measured the same way the submit() wrapper measures it, with the
-    // inline-kernel ledger subtracting time synchronous backends spend
-    // executing bodies inside submitImpl.
-    ExecutionBackend::ThreadSubmitState &TS =
-        ExecutionBackend::threadSubmitState();
-    const double InlineBefore = TS.InlineKernelNs;
-    Stopwatch Watch;
-    ReplayEvents.push_back(N.Backend->submitImpl(N.Spec, N.Kernel, Ctx,
-                                                 *N.Stats));
-    const double WallNs = double(Watch.elapsedNanoseconds());
-    const double InlineNs = TS.InlineKernelNs - InlineBefore;
-    N.Stats->SubmitNs += WallNs > InlineNs ? WallNs - InlineNs : 0.0;
+    // issue, not a counted launch, so Launches stays flat while the
+    // residual re-issue cost lands in the node's SubmitNs.
+    ReplayEvents.push_back(
+        N.Backend->timedSubmitImpl(N.Spec, N.Kernel, Ctx, *N.Stats));
   }
 }
 

@@ -30,8 +30,8 @@
 ///     re-issues the whole step against the captured backends with only
 ///     the ParamBlock rebound: step indices are rebased by the delta
 ///     from the captured base step, dependency lists are refilled in
-///     place from this replay's events, and no new specs, kernel
-///     bodies or keep-alive entries are constructed.
+///     place from this replay's events, and no new specs or kernel
+///     bodies are constructed.
 ///   * **ParamBlock** — the per-step indirection. Kernel bodies that
 ///     need per-step values (the simulation time, buffer pointers that
 ///     may be swapped) read them through a `const ParamBlock *` captured
@@ -39,10 +39,11 @@
 ///     driver updates the block before each replay.
 ///
 /// Replay bypasses the counting submit() wrapper (StepGraph is a friend
-/// of ExecutionBackend and calls submitImpl directly): a replayed step
-/// is *one* compiled-graph issue, not N launches, so
-/// RunStats::Launches/SpecsBuilt stay flat while the residual per-node
-/// re-issue cost still lands in RunStats::SubmitNs. The
+/// of ExecutionBackend and issues each node through the same timed
+/// submitImpl call submit() uses): a replayed step is *one*
+/// compiled-graph issue, not N launches, so RunStats::Launches stays
+/// flat while the residual per-node re-issue cost still lands in
+/// RunStats::SubmitNs. The
 /// `pic_graph_replay_wall` ctest target
 /// (tests/pic/GraphReplayWallTest.cpp) holds replay to fewer launches
 /// per step and a lower step wall than resubmission.
@@ -157,7 +158,7 @@ public:
   /// Re-issues the whole captured step: rebases step indices by
   /// params().StepIndex - baseStep, refills each node's DependsOn from
   /// this replay's events, submits every node in captured order
-  /// directly through the backend's submitImpl (one graph issue, not N
+  /// through the backend's timed submitImpl (one graph issue, not N
   /// counted launches), and waits all events in submission order before
   /// returning — so on synchronous backends the replay degenerates to
   /// the captured ordered loop, and the caller may touch results and
@@ -252,9 +253,9 @@ public:
   int shardCount() const override { return Base.shardCount(); }
 
 protected:
-  /// Records the node, forwards to the wrapped backend (an inner,
-  /// uncounted submit — the thread-local depth in ExecutionBackend::
-  /// submit keeps the ledger at one launch per capture submission), and
+  /// Records the node, forwards to the wrapped backend's submitImpl
+  /// (this wrapper's own submit() already counts and times the launch,
+  /// so the ledger holds one launch per capture submission), and
   /// returns a wrapper event whose identity the graph can map back to
   /// the node. The wrapper is deferred rather than a pass-through so
   /// even synchronous backends' (stateless, complete) events get a
@@ -262,7 +263,7 @@ protected:
   ExecEvent submitImpl(const LaunchSpec &Spec, const StepKernel &Kernel,
                        const ExecutionContext &Ctx, RunStats &Stats) override {
     const int NodeIndex = Graph.record(Base, Spec, Kernel, Stats);
-    ExecEvent BaseEvent = Base.submit(Spec, Kernel, Ctx, Stats);
+    ExecEvent BaseEvent = Base.submitImpl(Spec, Kernel, Ctx, Stats);
     ExecEvent Wrapped = ExecEvent::deferred([BaseEvent] { BaseEvent.wait(); });
     Graph.noteEvent(Wrapped.identity(), NodeIndex);
     return Wrapped;

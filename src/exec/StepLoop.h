@@ -135,7 +135,6 @@ RunStats runStepLoop(ExecutionBackend &Backend, const ExecutionContext &Ctx,
     Spec.Items = N;
     Spec.StepBegin = 0;
     Spec.StepEnd = 1;
-    Stats.SpecsBuilt += 1;
     Capture.submit(Spec, Kernel, Ctx, Stats).wait();
     Graph.instantiate();
     for (int Step = 1; Step < NumSteps; ++Step) {
@@ -159,7 +158,6 @@ RunStats runStepLoop(ExecutionBackend &Backend, const ExecutionContext &Ctx,
       Spec.StepEnd = Step + 1;
       if (!Events.empty())
         Spec.DependsOn.push_back(Events.back());
-      Stats.SpecsBuilt += 1;
       Events.push_back(Backend.submit(Spec, Kernel, Ctx, Stats));
     }
     for (const ExecEvent &Ev : Events)
@@ -173,8 +171,7 @@ RunStats runStepLoop(ExecutionBackend &Backend, const ExecutionContext &Ctx,
     Spec.Items = N;
     Spec.StepBegin = Step;
     Spec.StepEnd = std::min(Step + Fuse, NumSteps);
-    Stats.SpecsBuilt += 1;
-    Backend.launch(Spec, Kernel, Ctx, Stats);
+    Backend.submit(Spec, Kernel, Ctx, Stats).wait();
   }
   return Stats;
 }

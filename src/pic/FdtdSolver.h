@@ -51,7 +51,6 @@
 #include "pic/YeeGrid.h"
 #include "support/Constants.h"
 
-#include <memory>
 #include <vector>
 
 namespace hichi {
@@ -187,16 +186,15 @@ public:
   /// Submits the B advance as one launch over \p Partition's tiles
   /// (items = tiles, GrainHint = 1). Each tile captures its +x-face
   /// Ey/Ez halo planes, then sweeps its owned planes. \returns the
-  /// launch's event; kernel bodies are parked in \p Keep until the
-  /// caller's final wait.
-  template <typename KeepT>
+  /// launch's event; the kernel body is parked in \p Cache, which must
+  /// outlive the caller's final wait.
   exec::ExecEvent submitAdvanceB(YeeGrid<Real> &Grid, Real Dt,
                                  FdtdSlabPartition<Real> &Partition,
                                  exec::ExecutionBackend &Backend,
                                  const exec::ExecutionContext &Ctx,
                                  RunStats &Stats,
                                  const std::vector<exec::ExecEvent> &DependsOn,
-                                 KeepT &Keep) const {
+                                 exec::KernelCache &Cache) const {
     YeeGrid<Real> *G = &Grid;
     FdtdSlabPartition<Real> *Part = &Partition;
     const Real LightC = C;
@@ -204,22 +202,23 @@ public:
       for (Index T = Begin; T < End; ++T)
         advanceBSlab(*G, Dt, LightC, Part->tile(T));
     };
-    return submitOverTiles(Backend, Ctx, Stats, Index(Partition.tileCount()),
-                           std::move(Block), DependsOn, Keep);
+    return exec::submitCachedLaunch(Backend, Ctx, Stats,
+                                    Index(Partition.tileCount()),
+                                    /*GrainHint=*/1, std::move(Block),
+                                    DependsOn, Cache);
   }
 
   /// Submits the E advance as one launch over \p Partition's tiles.
   /// Each tile captures its -x-face By/Bz halo planes, then sweeps. The
   /// only field-solve launch that reads J — its dependency list is where
   /// the deposit's JReady event goes.
-  template <typename KeepT>
   exec::ExecEvent submitAdvanceE(YeeGrid<Real> &Grid, Real Dt,
                                  FdtdSlabPartition<Real> &Partition,
                                  exec::ExecutionBackend &Backend,
                                  const exec::ExecutionContext &Ctx,
                                  RunStats &Stats,
                                  const std::vector<exec::ExecEvent> &DependsOn,
-                                 KeepT &Keep) const {
+                                 exec::KernelCache &Cache) const {
     YeeGrid<Real> *G = &Grid;
     FdtdSlabPartition<Real> *Part = &Partition;
     const Real LightC = C;
@@ -227,8 +226,10 @@ public:
       for (Index T = Begin; T < End; ++T)
         advanceESlab(*G, Dt, LightC, Part->tile(T));
     };
-    return submitOverTiles(Backend, Ctx, Stats, Index(Partition.tileCount()),
-                           std::move(Block), DependsOn, Keep);
+    return exec::submitCachedLaunch(Backend, Ctx, Stats,
+                                    Index(Partition.tileCount()),
+                                    /*GrainHint=*/1, std::move(Block),
+                                    DependsOn, Cache);
   }
 
   /// Submits one full leapfrog step as the event chain
@@ -237,37 +238,25 @@ public:
   /// currents — the B launches never read J, so the first half-step may
   /// overlap the deposit); the trailing B launch waits the E launch.
   /// \returns the trailing launch's event. Wait it (and only then read
-  /// \p Stats or drop \p Keep) before touching the fields. \p After
+  /// \p Stats or reuse \p Cache) before touching the fields. \p After
   /// gates the first half-step: the PIC step passes its stage-1 events
   /// there — the B advance writes fields the push stage's interpolation
   /// reads, and on asynchronous backends or under replay only the event
   /// edges order the two. Callers that waited the push leave it empty.
-  template <typename KeepT>
   exec::ExecEvent submitStep(YeeGrid<Real> &Grid, Real Dt,
                              FdtdSlabPartition<Real> &Partition,
                              exec::ExecutionBackend &Backend,
                              const exec::ExecutionContext &Ctx,
                              RunStats &Stats, const exec::ExecEvent &JReady,
-                             KeepT &Keep,
+                             exec::KernelCache &Cache,
                              const std::vector<exec::ExecEvent> &After = {}) const {
     const exec::ExecEvent FirstHalf = submitAdvanceB(
-        Grid, Dt / Real(2), Partition, Backend, Ctx, Stats, After, Keep);
+        Grid, Dt / Real(2), Partition, Backend, Ctx, Stats, After, Cache);
     const exec::ExecEvent Full =
         submitAdvanceE(Grid, Dt, Partition, Backend, Ctx, Stats,
-                       {FirstHalf, JReady}, Keep);
+                       {FirstHalf, JReady}, Cache);
     return submitAdvanceB(Grid, Dt / Real(2), Partition, Backend, Ctx, Stats,
-                          {Full}, Keep);
-  }
-
-  /// Blocking facade over submitStep for synchronous call sites (tests,
-  /// benches): one full tiled step through \p Backend.
-  void step(YeeGrid<Real> &Grid, Real Dt, FdtdSlabPartition<Real> &Partition,
-            exec::ExecutionBackend &Backend, const exec::ExecutionContext &Ctx,
-            RunStats &Stats) const {
-    exec::KernelKeepAlive Keep;
-    submitStep(Grid, Dt, Partition, Backend, Ctx, Stats, exec::ExecEvent(),
-               Keep)
-        .wait();
+                          {Full}, Cache);
   }
 
 private:
@@ -345,20 +334,6 @@ private:
               JFactor * Grid.Jz(I, J, K);
         }
     }
-  }
-
-  /// One launch over \p Items tiles (GrainHint = 1, one time step), with
-  /// the body parked in \p Keep for the asynchronous lifetime contract.
-  template <typename BlockFn, typename KeepT>
-  static exec::ExecEvent
-  submitOverTiles(exec::ExecutionBackend &Backend,
-                  const exec::ExecutionContext &Ctx, RunStats &Stats,
-                  Index Items, BlockFn Block,
-                  const std::vector<exec::ExecEvent> &DependsOn,
-                  KeepT &Keep) {
-    return exec::submitKeptLaunch(Backend, Ctx, Stats, Items,
-                                  /*GrainHint=*/1, std::move(Block),
-                                  DependsOn, Keep);
   }
 
   Real C;

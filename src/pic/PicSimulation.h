@@ -49,7 +49,6 @@
 #include "core/Checkpoint.h"
 #include "core/Core.h"
 #include "core/EnsembleOps.h"
-#include "exec/Autotuner.h"
 #include "exec/BackendRegistry.h"
 #include "exec/ShardedBackend.h"
 #include "exec/SlabPartition.h"
@@ -68,7 +67,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -104,18 +102,12 @@ template <typename Real> struct MovingWindowOptions {
   int InjectPerCell = 0;  ///< leading-edge particles per cell (0 = vacuum)
   short InjectType = 0;   ///< species of the injected plasma
   Real InjectWeight = Real(0); ///< statistical weight per injected particle
-  Real InjectVx = Real(0);     ///< injection drift velocity along x
 
   /// Second co-located species emitted record-adjacent to every
   /// injected particle (-1 = none): the drifting-slab pair idiom, so a
   /// neutral plasma injects as electron–positron pairs whose current
   /// contributions cancel bitwise until a field separates them.
   short InjectPairType = -1;
-
-  /// Density profile n(x)/n0 sampled at each uncovered plane's center
-  /// (global x): the per-plane count is lround(InjectPerCell * profile),
-  /// matching appendDensityRampX's rounding. Null = uniform (factor 1).
-  std::function<Real(Real)> DensityProfile;
 };
 
 /// Configuration of a PIC run.
@@ -179,7 +171,7 @@ template <typename Real> struct PicOptions {
   /// Occupancy-skew threshold that arms the between-steps rebalancer
   /// (pic/Rebalancer.h): every RebalanceEveryNSteps steps the per-x-plane
   /// particle occupancy is measured, and when its skew (max block weight
-  /// over mean across RebalanceBlocks x-blocks) exceeds this threshold
+  /// over mean across SkewEvalBlocks x-blocks) exceeds this threshold
   /// the ensemble is cell-sorted and the deposit tiles + sharded push
   /// blocks are re-split weighted by the measured occupancy. <= 0
   /// disables rebalancing entirely. The trigger reads particle positions
@@ -194,36 +186,30 @@ template <typename Real> struct PicOptions {
   /// the work it balances; the check is one O(N) histogram pass).
   int RebalanceEveryNSteps = 10;
 
-  /// Evaluation blocks of the skew metric (clamped to the grid's Nx).
-  /// Deliberately independent of the backend's shard/tile counts so the
-  /// metric — and hence the firing steps — are backend-invariant.
-  int RebalanceBlocks = 8;
-
   /// Absorbing/open boundary along x: > 0 damps E and B inside a sponge
-  /// frame this many cells deep on the two x faces after every step and
+  /// frame this many cells deep on the two x faces after every step
+  /// (damping exponent SpongeStrength at the outermost cell) and
   /// removes particles that entered it (open particle boundary; y/z stay
   /// periodic). The boundary is host-side and runs in every step mode —
   /// classic, capture and replay — after the captured DAG completes, so
   /// all backends apply the identical damping arithmetic.
   Index AbsorbingCells = 0;
 
-  /// Damping exponent at the outermost sponge cell per application
-  /// (AbsorbingLayer's quadratic-ramp profile).
-  Real AbsorbingStrength = Real(0.5);
-
   /// Moving-window configuration; Enabled = false leaves every logical↔
   /// physical mapping the identity, so fixed-window runs are untouched
   /// bit-for-bit.
   MovingWindowOptions<Real> MovingWindow;
-
-  /// Let the autotuner (exec/Autotuner.h) fill every stage knob still at
-  /// its built-in default — backends left at "serial", thread/tile
-  /// counts left at 0, step graph left off — from the host's measured
-  /// machine profile. Knobs set explicitly (above) always win. All tuned
-  /// knobs are hash-invariant, so a tuned run's state hash still equals
-  /// the serial reference.
-  bool Tune = false;
 };
+
+/// Evaluation blocks of the rebalancer's skew metric (clamped to the
+/// grid's Nx). Deliberately independent of the backend's shard/tile
+/// counts so the metric — and hence the firing steps — are
+/// backend-invariant.
+constexpr Index SkewEvalBlocks = 8;
+
+/// Damping exponent at the outermost cell of the open-boundary sponge
+/// per application (AbsorbingLayer's quadratic-ramp profile).
+constexpr double SpongeStrength = 0.5;
 
 /// A complete electromagnetic PIC simulation over one periodic box.
 template <typename Real, typename Array = ParticleArrayAoS<Real>>
@@ -235,8 +221,6 @@ public:
       : Grid(Size, Origin, Step), Particles(ParticleCapacity),
         Types(std::move(Types)), Solver(Options.LightVelocity),
         Indexer(Grid), Options(Options) {
-    if (this->Options.Tune)
-      exec::applyTunePlan(this->Options, exec::Autotuner::hostPlan());
     if (this->Options.MovingWindow.Enabled &&
         this->Options.Solver == FieldSolverKind::Spectral)
       fatalError("moving window requires the FDTD solver (global FFTs "
@@ -266,10 +250,10 @@ public:
     if (this->Options.RebalanceThreshold > 0)
       Rebal = std::make_unique<Rebalancer<Real>>(
           Size, Origin, Step, this->Options.RebalanceThreshold,
-          Index(this->Options.RebalanceBlocks));
+          SkewEvalBlocks);
     if (this->Options.AbsorbingCells > 0)
       Absorber = std::make_unique<AbsorbingLayer<Real>>(
-          Size, this->Options.AbsorbingCells, this->Options.AbsorbingStrength,
+          Size, this->Options.AbsorbingCells, Real(SpongeStrength),
           AbsorbingLayer<Real>::Faces::XOnly);
     if (this->Options.TimeStep <= Real(0))
       this->Options.TimeStep = Solver.courantLimit(Grid) / Real(2);
@@ -423,9 +407,9 @@ private:
     // while stage 1 is still in flight.
     Watch.reset();
     std::vector<exec::ExecEvent> DepositAfter = Pushed;
-    DepositAfter.push_back(
-        submitStageKernel(DepositX, ClearCurrentBody{&Grid}, Grid.size().Nx,
-                          {}, DepositLaunchStats, Ctx));
+    DepositAfter.push_back(exec::submitCachedLaunch(
+        DepositX, Ctx, DepositLaunchStats, Grid.size().Nx, /*GrainHint=*/0,
+        ClearCurrentBody{&Grid}, {}, StageCache));
     const exec::ExecEvent JReady = Accumulator->submitDeposit(
         Grid, View, OldPos, NewPos, TypesPtr, Dt, Options.ChargeConserving,
         DepositX, Ctx, DepositLaunchStats, ChainCache, DepositAfter);
@@ -571,14 +555,7 @@ private:
     Index Injected = 0;
     for (Index L = First; L < Sz.Nx; ++L) {
       const Index Global = Grid.window().OriginPlanes + L;
-      int PerCell = W.InjectPerCell;
-      if (W.DensityProfile) {
-        const Real XCenter = O.X + (Real(Global) + Real(0.5)) * D.X;
-        PerCell = int(std::lround(double(W.InjectPerCell) *
-                                  double(W.DensityProfile(XCenter))));
-      }
-      if (PerCell <= 0)
-        continue;
+      const int PerCell = W.InjectPerCell;
       const Index Emitted = W.InjectPairType >= 0 ? Index(2) : Index(1);
       const Index PlaneCount = Emitted * Index(PerCell) * Sz.Ny * Sz.Nz;
       if (Particles.size() + PlaneCount > Particles.capacity())
@@ -592,10 +569,7 @@ private:
                 O.X + (Real(Global) + Real(P + 0.5) / Real(PerCell)) * D.X,
                 O.Y + (Real(J) + Real(0.5)) * D.Y,
                 O.Z + (Real(K) + Real(0.5)) * D.Z};
-            const Real V = W.InjectVx;
-            const Real Gamma =
-                Real(1) / std::sqrt(Real(1) - (V / C) * (V / C));
-            Part.Momentum = {Gamma * Mass * V, Real(0), Real(0)};
+            Part.Momentum = {Real(0), Real(0), Real(0)};
             Part.Weight = W.InjectWeight;
             Part.Type = W.InjectType;
             Part.Gamma = lorentzGamma(Part.Momentum, Mass, C);
@@ -775,7 +749,7 @@ public:
   const RunStats &pushLaunchStats() const { return PushLaunchStats; }
 
   /// Per-launch ledger of the deposit chain (clear + bin + accumulate):
-  /// launches, specs built and submit-overhead nanoseconds.
+  /// launches and submit-overhead nanoseconds.
   const RunStats &depositLaunchStats() const { return DepositLaunchStats; }
 
   /// Per-launch ledger of the field-solve chain.
@@ -808,16 +782,14 @@ public:
 
   /// Submit-overhead totals across every per-launch ledger the step
   /// touches (stage 1, the deposit chain with the J clear, and the field
-  /// chain): launches submitted, specs constructed, and wall
-  /// nanoseconds inside submit() outside kernel bodies. Timing fields
-  /// are left zero — this is the launch-bookkeeping view, not a wall
-  /// clock.
+  /// chain): launches submitted and wall nanoseconds inside submit()
+  /// outside kernel bodies. Timing fields are left zero — this is the
+  /// launch-bookkeeping view, not a wall clock.
   RunStats submitOverhead() const {
     RunStats Total;
     for (const RunStats *S :
          {&PushLaunchStats, &DepositLaunchStats, &FieldLaunchStats}) {
       Total.Launches += S->Launches;
-      Total.SpecsBuilt += S->SpecsBuilt;
       Total.SubmitNs += S->SubmitNs;
     }
     return Total;
@@ -936,30 +908,6 @@ private:
     }
   };
 
-  /// Submits \p Body over \p Items items of this step through \p Exec
-  /// (a stage backend or its graph-capturing wrapper), after
-  /// \p DependsOn, on shard lane \p ShardAffinity (-1 = any). The body
-  /// lives in the reusable stage cache. \returns the launch's event.
-  template <typename BodyT>
-  exec::ExecEvent submitStageKernel(exec::ExecutionBackend &Exec, BodyT Body,
-                                    Index Items,
-                                    std::vector<exec::ExecEvent> DependsOn,
-                                    RunStats &Stats,
-                                    const exec::ExecutionContext &Ctx,
-                                    int ShardAffinity = -1) {
-    const BodyT &Stored = StageCache.emplace(std::move(Body));
-    exec::LaunchSpec Spec;
-    Spec.Items = Items;
-    Spec.StepBegin = Steps;
-    Spec.StepEnd = Steps + 1;
-    Spec.ShardAffinity = ShardAffinity;
-    Spec.DependsOn = std::move(DependsOn);
-    Stats.SpecsBuilt += 1;
-    return Exec.submit(
-        Spec, exec::StepKernel(Stored, exec::kernelIdentity<BodyT>()), Ctx,
-        Stats);
-  }
-
   /// Submits stage 1 through \p Exec: one launch of \p Body over all
   /// \p N particles, which a sharded push backend splits into one slab
   /// block per lane like any plain launch. After a fired rebalance the
@@ -976,7 +924,8 @@ private:
     const Index Shards = Index(Backend->shardCount());
     const Index Blocks = Index(PushFractions.size()) - 1;
     if (Shards == 0 || N == 0 || Blocks != exec::clampSlabCount(N, Shards))
-      return {submitStageKernel(Exec, Body, N, {}, PushLaunchStats, Ctx)};
+      return {exec::submitCachedLaunch(Exec, Ctx, PushLaunchStats, N,
+                                       /*GrainHint=*/0, Body, {}, StageCache)};
 
     std::vector<exec::ExecEvent> Events;
     for (Index S = 0; S < Blocks; ++S) {
@@ -988,8 +937,9 @@ private:
       if (End <= Begin)
         continue; // a weighted block may own no particles
       Body.Offset = Begin;
-      Events.push_back(submitStageKernel(Exec, Body, End - Begin, {},
-                                         PushLaunchStats, Ctx, int(S)));
+      Events.push_back(exec::submitCachedLaunch(
+          Exec, Ctx, PushLaunchStats, End - Begin, /*GrainHint=*/0, Body, {},
+          StageCache, int(S)));
     }
     return Events;
   }

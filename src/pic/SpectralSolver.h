@@ -57,7 +57,6 @@
 
 #include <array>
 #include <complex>
-#include <memory>
 
 namespace hichi {
 namespace pic {
@@ -103,13 +102,12 @@ public:
   /// update, line groups of the FFT passes), \p JReady gates the gather
   /// (the first launch that reads the grid, J included). \returns the
   /// scatter launch's event; wait it (and only then read \p Stats or
-  /// drop \p Keep) before touching the fields.
-  template <typename KeepT>
+  /// reuse \p Cache) before touching the fields.
   exec::ExecEvent submitStep(YeeGrid<Real> &Grid, Real Dt,
                              exec::ExecutionBackend &Backend,
                              const exec::ExecutionContext &Ctx, int Tiles,
                              RunStats &Stats, const exec::ExecEvent &JReady,
-                             KeepT &Keep) {
+                             exec::KernelCache &Cache) {
     prepareBuffers();
     SpectralSolver *Self = this;
     YeeGrid<Real> *G = &Grid;
@@ -120,8 +118,9 @@ public:
         Self->gatherSpectrum(*G, int(S));
     };
     const exec::ExecEvent Gathered =
-        exec::submitKeptLaunch(Backend, Ctx, Stats, NumSpectra, /*GrainHint=*/1,
-                     std::move(GatherBlock), {JReady}, Keep);
+        exec::submitCachedLaunch(Backend, Ctx, Stats, NumSpectra,
+                                 /*GrainHint=*/1, std::move(GatherBlock),
+                                 {JReady}, Cache);
 
     // Forward transforms: per spectrum, the z → y → x passes chain on
     // each other; the nine per-spectrum chains are mutually independent.
@@ -129,7 +128,7 @@ public:
     for (int S = 0; S < NumSpectra; ++S)
       Transformed.push_back(
           submitPasses(Backend, Ctx, Stats, S, /*Inverse=*/false, Tiles,
-                       Gathered, Keep));
+                       Gathered, Cache));
 
     // The mode update over k-space rows (flat index ranges).
     auto UpdateBlock = [=](Index Begin, Index End, int, int) {
@@ -137,30 +136,23 @@ public:
     };
     const Index Modes = Index(Fft.size());
     const exec::ExecEvent Updated =
-        exec::submitKeptLaunch(Backend, Ctx, Stats, Modes, grainFor(Modes, Tiles),
-                     std::move(UpdateBlock), Transformed, Keep);
+        exec::submitCachedLaunch(Backend, Ctx, Stats, Modes,
+                                 grainFor(Modes, Tiles),
+                                 std::move(UpdateBlock), Transformed, Cache);
 
     // Inverse transforms of the six field spectra, then the scatter.
     std::vector<exec::ExecEvent> Restored;
     for (int S = 0; S < NumFieldSpectra; ++S)
       Restored.push_back(submitPasses(Backend, Ctx, Stats, S,
                                       /*Inverse=*/true, Tiles, Updated,
-                                      Keep));
+                                      Cache));
     auto ScatterBlock = [=](Index Begin, Index End, int, int) {
       for (Index S = Begin; S < End; ++S)
         Self->scatterSpectrum(*G, int(S));
     };
-    return exec::submitKeptLaunch(Backend, Ctx, Stats, NumFieldSpectra,
-                        /*GrainHint=*/1, std::move(ScatterBlock), Restored,
-                        Keep);
-  }
-
-  /// Blocking facade over submitStep for synchronous call sites.
-  void step(YeeGrid<Real> &Grid, Real Dt, exec::ExecutionBackend &Backend,
-            const exec::ExecutionContext &Ctx, int Tiles, RunStats &Stats) {
-    exec::KernelKeepAlive Keep;
-    submitStep(Grid, Dt, Backend, Ctx, Tiles, Stats, exec::ExecEvent(), Keep)
-        .wait();
+    return exec::submitCachedLaunch(Backend, Ctx, Stats, NumFieldSpectra,
+                                    /*GrainHint=*/1, std::move(ScatterBlock),
+                                    Restored, Cache);
   }
 
 private:
@@ -310,12 +302,11 @@ private:
 
   /// Submits the z → y → x pass chain over spectrum \p S; each pass is
   /// one launch whose items are the pass's independent 1-D lines.
-  template <typename KeepT>
   exec::ExecEvent submitPasses(exec::ExecutionBackend &Backend,
                                const exec::ExecutionContext &Ctx,
                                RunStats &Stats, int S, bool Inverse,
                                int Tiles, const exec::ExecEvent &After,
-                               KeepT &Keep) {
+                               exec::KernelCache &Cache) {
     SpectralSolver *Self = this;
     exec::ExecEvent Prev = After;
     for (FftAxis Axis : {FftAxis::Z, FftAxis::Y, FftAxis::X}) {
@@ -327,8 +318,9 @@ private:
           Self->Fft.transformLine(Axis, std::size_t(L), Data, Inverse,
                                   Scratch);
       };
-      Prev = exec::submitKeptLaunch(Backend, Ctx, Stats, Lines, grainFor(Lines, Tiles),
-                          std::move(PassBlock), {Prev}, Keep);
+      Prev = exec::submitCachedLaunch(Backend, Ctx, Stats, Lines,
+                                      grainFor(Lines, Tiles),
+                                      std::move(PassBlock), {Prev}, Cache);
     }
     return Prev;
   }

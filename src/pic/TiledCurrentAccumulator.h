@@ -47,7 +47,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <memory>
 #include <vector>
 
 namespace hichi {
@@ -173,40 +172,28 @@ public:
   /// Deposits the currents of every particle of \p View moving from
   /// \p OldPos[i] to \p NewPos[i] (both *unwrapped*) into \p Grid's J
   /// lattices, Esirkepov when \p ChargeConserving else direct CIC,
-  /// through \p Backend. \p Stats accumulates the launches' kernel
-  /// time. The grid's J lattices must have been cleared this step.
+  /// through \p Backend; \p Stats accumulates the launches' kernel
+  /// time, and the grid's J lattices must have been cleared this step.
+  /// Submits the bin and accumulate phases as non-blocking launches, the
+  /// second depending on the first, and \returns the event after which J
+  /// is complete — the handle the backend-parallel field solve chains its
+  /// E advance on. \p After gates the first phase, which reads particle
+  /// endpoints and (with one tile) writes the grid: the PIC step passes
+  /// its wrap and clear-current events. Binning is a launch so a captured
+  /// step graph rebins the moved particles on every replay. Kernel bodies
+  /// are parked in \p Cache; wait the returned event (and only then read
+  /// \p Stats or reuse \p Cache) before touching the J lattices. On
+  /// synchronous backends everything executes inline and the returned
+  /// event is already complete.
   template <typename ParticleView>
-  void deposit(YeeGrid<Real> &Grid, const ParticleView &View,
-               const Vector3<Real> *OldPos, const Vector3<Real> *NewPos,
-               const ParticleTypeInfo<Real> *Types, Real Dt,
-               bool ChargeConserving, exec::ExecutionBackend &Backend,
-               const exec::ExecutionContext &Ctx, RunStats &Stats) {
-    exec::KernelKeepAlive Keep;
-    submitDeposit(Grid, View, OldPos, NewPos, Types, Dt, ChargeConserving,
-                  Backend, Ctx, Stats, Keep)
-        .wait();
-  }
-
-  /// The event-chained form of deposit(): submits the bin and accumulate
-  /// phases as non-blocking launches, the second depending on the first,
-  /// and \returns the event after which J is complete — the handle the
-  /// backend-parallel field solve chains its E advance on. \p After
-  /// gates the first phase, which reads particle endpoints and (with one
-  /// tile) writes the grid: the PIC step passes its wrap and clear-current
-  /// events. Binning is a launch so a captured step graph rebins the
-  /// moved particles on every replay. Kernel bodies are parked in \p Keep
-  /// (a per-step KernelKeepAlive or a reusable KernelCache); wait the
-  /// returned event (and only then read \p Stats or drop \p Keep) before
-  /// touching the J lattices. On synchronous backends everything executes
-  /// inline and the returned event is already complete.
-  template <typename ParticleView, typename KeepT>
   exec::ExecEvent
   submitDeposit(YeeGrid<Real> &Grid, const ParticleView &View,
                 const Vector3<Real> *OldPos, const Vector3<Real> *NewPos,
                 const ParticleTypeInfo<Real> *Types, Real Dt,
                 bool ChargeConserving, exec::ExecutionBackend &Backend,
                 const exec::ExecutionContext &Ctx, RunStats &Stats,
-                KeepT &Keep, const std::vector<exec::ExecEvent> &After = {}) {
+                exec::KernelCache &Cache,
+                const std::vector<exec::ExecEvent> &After = {}) {
     const Index N = View.size();
     // Re-read the (possibly window-shifted) origin: binning and the
     // scatter kernels work in logical coordinates relative to the live
@@ -228,8 +215,8 @@ public:
           scatterParticle(Sink, View[I], OldPos[I], NewPos[I], Types, D, O,
                           Dt, ChargeConserving);
       };
-      return submitOverItems(Backend, Ctx, Stats, 1, std::move(Block), After,
-                             Keep);
+      return exec::submitCachedLaunch(Backend, Ctx, Stats, 1, /*GrainHint=*/1,
+                                      std::move(Block), After, Cache);
     }
 
     // Phase 1 — binning over the fixed particle chunks, gated on \p After.
@@ -237,8 +224,9 @@ public:
       for (Index C = Begin; C < End; ++C)
         Self->binChunk(C, OldPos, NewPos, ChargeConserving, N);
     };
-    const std::vector<exec::ExecEvent> Binned = {submitOverItems(
-        Backend, Ctx, Stats, BinChunks, std::move(BinBlock), After, Keep)};
+    const std::vector<exec::ExecEvent> Binned = {exec::submitCachedLaunch(
+        Backend, Ctx, Stats, BinChunks, /*GrainHint=*/1, std::move(BinBlock),
+        After, Cache)};
 
     // Phase 2 — each tile adds its particles, in ascending order, into
     // the grid planes it owns. Owned plane ranges are disjoint, so any
@@ -258,8 +246,9 @@ public:
       }
     };
 
-    return submitOverItems(Backend, Ctx, Stats, Index(tileCount()),
-                           std::move(Accumulate), Binned, Keep);
+    return exec::submitCachedLaunch(Backend, Ctx, Stats, Index(tileCount()),
+                                    /*GrainHint=*/1, std::move(Accumulate),
+                                    Binned, Cache);
   }
 
 private:
@@ -342,22 +331,6 @@ private:
                    Bins.Particles[std::size_t(Bins.Cursor[std::size_t(T)]++)] =
                        I;
                  });
-  }
-
-  /// One non-blocking backend launch over \p Items items, one
-  /// schedulable chunk per item (GrainHint = 1); the body is parked in
-  /// \p Keep (per-step KernelKeepAlive or reusable KernelCache) until
-  /// the chain's final wait (the asynchronous lifetime contract).
-  template <typename BlockFn, typename KeepT>
-  static exec::ExecEvent
-  submitOverItems(exec::ExecutionBackend &Backend,
-                  const exec::ExecutionContext &Ctx, RunStats &Stats,
-                  Index Items, BlockFn Block,
-                  const std::vector<exec::ExecEvent> &DependsOn,
-                  KeepT &Keep) {
-    return exec::submitKeptLaunch(Backend, Ctx, Stats, Items,
-                                  /*GrainHint=*/1, std::move(Block),
-                                  DependsOn, Keep);
   }
 
   GridSize Size;

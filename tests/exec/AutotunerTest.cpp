@@ -152,23 +152,4 @@ TEST(AutotunerTest, AutoBackendMatchesSerialBitForBit) {
   EXPECT_EQ(simulationHash("auto"), simulationHash("serial"));
 }
 
-TEST(AutotunerTest, ApplyTunePlanFillsOnlyDefaults) {
-  TunePlan Plan = Autotuner::planFromProfile(fixedProfile(20000.0));
-
-  pic::PicOptions<double> Defaults;
-  applyTunePlan(Defaults, Plan);
-  EXPECT_EQ(Defaults.PushBackend, Plan.Push.Backend);
-  EXPECT_EQ(Defaults.DepositThreads, Plan.Deposit.Threads);
-  EXPECT_EQ(Defaults.FieldTiles, Plan.Field.Tiles);
-  EXPECT_EQ(Defaults.UseStepGraph, Plan.UseStepGraph);
-
-  pic::PicOptions<double> Pinned;
-  Pinned.PushBackend = "openmp"; // explicit: the plan must not touch it
-  Pinned.DepositThreads = 3;
-  applyTunePlan(Pinned, Plan);
-  EXPECT_EQ(Pinned.PushBackend, "openmp");
-  EXPECT_EQ(Pinned.DepositThreads, 3);
-  EXPECT_EQ(Pinned.FieldBackend, Plan.Field.Backend); // default: filled
-}
-
 } // namespace

@@ -110,7 +110,7 @@ TEST(BackendRegistryTest, CustomBackendRegistersOnceAndAppendsToEnumeration) {
   int Calls = 0;
   auto Body = [&](Index, Index, int, int) { ++Calls; };
   StepKernel Kernel(Body, kernelIdentity<decltype(Body)>());
-  Backend->launch({10, 0, 1}, Kernel, {}, Stats);
+  Backend->submit({10, 0, 1}, Kernel, {}, Stats).wait();
   EXPECT_EQ(Calls, 1);
 }
 
@@ -144,7 +144,8 @@ void expectFullCoverage(const std::string &BackendName, int Fuse) {
 
   RunStats Stats;
   for (int S = 0; S < Steps; S += Fuse)
-    Backend->launch({N, S, std::min(S + Fuse, Steps)}, Kernel, Ctx, Stats);
+    Backend->submit({N, S, std::min(S + Fuse, Steps)}, Kernel, Ctx, Stats)
+        .wait();
 
   for (Index I = 0; I < N; ++I)
     ASSERT_EQ(Visits[std::size_t(I)].load(), Steps) << "particle " << I;
@@ -186,7 +187,7 @@ TEST(BackendQueueStateTest, DpcppNumaLaunchRestoresQueueConfiguration) {
   auto Body = [](Index, Index, int, int) {};
   StepKernel Kernel(Body, kernelIdentity<decltype(Body)>());
   RunStats Stats;
-  Numa->launch({64, 0, 1}, Kernel, Ctx, Stats);
+  Numa->submit({64, 0, 1}, Kernel, Ctx, Stats).wait();
 
   // The historic leak: numa_domains / thread_count=1 used to stick to the
   // queue and silently reconfigure the next dpcpp run.
@@ -204,7 +205,7 @@ TEST(BackendQueueStateTest, DpcppBackendsRequireAQueue) {
   auto Body = [](Index, Index, int, int) {};
   StepKernel Kernel(Body, kernelIdentity<decltype(Body)>());
   RunStats Stats;
-  EXPECT_DEATH(Backend->launch({8, 0, 1}, Kernel, {}, Stats),
+  EXPECT_DEATH(Backend->submit({8, 0, 1}, Kernel, {}, Stats).wait(),
                "require a minisycl::queue");
 }
 
@@ -232,7 +233,7 @@ TEST(BackendConfigTest, CoarseTileLaunchVisitsEveryItemExactlyOnce) {
     Spec.StepBegin = 0;
     Spec.StepEnd = 1;
     Spec.GrainHint = 1;
-    Backend->launch(Spec, Kernel, Ctx, Stats);
+    Backend->submit(Spec, Kernel, Ctx, Stats).wait();
     for (Index T = 0; T < Tiles; ++T)
       EXPECT_EQ(Visits[std::size_t(T)].load(), 1)
           << Name << " tile " << T;
@@ -296,10 +297,10 @@ TEST(BackendConfigTest, SerialAndStaticHandleEmptyAndTinyRanges) {
     };
     StepKernel Kernel(Body, kernelIdentity<decltype(Body)>());
     RunStats Stats;
-    Backend->launch({0, 0, 3}, Kernel, {}, Stats);   // empty range
-    Backend->launch({5, 2, 2}, Kernel, {}, Stats);   // empty step group
+    Backend->submit({0, 0, 3}, Kernel, {}, Stats).wait(); // empty range
+    Backend->submit({5, 2, 2}, Kernel, {}, Stats).wait(); // empty step group
     EXPECT_EQ(Calls, 0) << Name;
-    Backend->launch({1, 0, 1}, Kernel, {}, Stats);   // single particle
+    Backend->submit({1, 0, 1}, Kernel, {}, Stats).wait(); // single particle
     EXPECT_GE(Calls, 1) << Name;
   }
 }

@@ -190,14 +190,14 @@ TEST(ExecEventTest, SubmitReturnsBeforeExecutionAndLateWaitSynchronizes) {
   EXPECT_GT(Stats.HostNs, 0.0);
 }
 
-TEST(ExecEventTest, BlockingLaunchFacadeIsSynchronousOnAsyncBackends) {
+TEST(ExecEventTest, WaitedSubmitIsSynchronousOnAsyncBackends) {
   ShardedBackend Backend({/*Threads=*/2, /*Grain=*/0});
   RunStats Stats;
   std::atomic<bool> Ran{false};
   auto Body = [&](Index, Index, int, int) { Ran = true; };
   StepKernel K(Body, kernelIdentity<decltype(Body)>());
-  Backend.launch({1, 0, 1}, K, {}, Stats);
-  EXPECT_TRUE(Ran.load()); // launch() == submit().wait()
+  Backend.submit({1, 0, 1}, K, {}, Stats).wait();
+  EXPECT_TRUE(Ran.load());
 }
 
 TEST(ExecEventTest, SynchronousBackendsWaitTheirDependencies) {

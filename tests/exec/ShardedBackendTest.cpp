@@ -110,7 +110,7 @@ TEST(ShardedBackendTest, EveryItemVisitedExactlyOncePerStep) {
     };
     StepKernel Kernel(Body, kernelIdentity<decltype(Body)>());
     RunStats Stats;
-    Backend->launch({N, 0, Steps}, Kernel, {}, Stats);
+    Backend->submit({N, 0, Steps}, Kernel, {}, Stats).wait();
     for (Index I = 0; I < N; ++I)
       ASSERT_EQ(Visits[std::size_t(I)].load(), Steps)
           << "shards=" << Shards << " item " << I;
@@ -198,11 +198,11 @@ TEST(ShardedBackendTest, DependenciesOrderAcrossShards) {
 
   // An empty ordering-only launch (a join) still orders after its
   // dependencies and completes.
-  KernelKeepAlive Keep;
+  KernelCache Cache;
   RunStats JoinStats;
-  const ExecEvent Join = submitKeptLaunch(
+  const ExecEvent Join = submitCachedLaunch(
       Backend, {}, JoinStats, /*Items=*/0, /*GrainHint=*/0,
-      [](Index, Index, int, int) {}, {FirstEv, SecondEv}, Keep);
+      [](Index, Index, int, int) {}, {FirstEv, SecondEv}, Cache);
   Join.wait();
   EXPECT_TRUE(Join.isComplete());
 }
@@ -212,7 +212,8 @@ TEST(ShardedBackendTest, ShardStatsCountItemsAndLaunches) {
   auto Body = [](Index, Index, int, int) {};
   StepKernel Kernel(Body, kernelIdentity<decltype(Body)>());
   RunStats Stats;
-  Backend.launch({100, 0, 1}, Kernel, {}, Stats); // partitioned: 25 each
+  // Partitioned: 25 items per shard.
+  Backend.submit({100, 0, 1}, Kernel, {}, Stats).wait();
   LaunchSpec Pinned;
   Pinned.Items = 10;
   Pinned.StepBegin = 0;

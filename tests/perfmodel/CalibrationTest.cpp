@@ -8,8 +8,8 @@
 /// The `hichi-machine-v1` contract: profile JSON round-trips every field
 /// bit-identically (the %.17g promise), tier lookup picks the right
 /// working-set point, CpuMachine::fromProfile maps the measured figures
-/// onto the roofline descriptor, and a bounded real measurement produces
-/// a sane profile.
+/// onto the roofline descriptor, a bounded real measurement produces
+/// a sane profile, and a truncated profile file is refused cleanly.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -69,6 +69,36 @@ TEST(CalibrationTest, SaveLoadRoundTripsThroughAFile) {
   MachineProfile Back;
   ASSERT_TRUE(Calibration::load(Path, Back, &Error)) << Error;
   EXPECT_TRUE(Back == P);
+  std::remove(Path.c_str());
+}
+
+/// Hostile input: a saved profile cut at every byte offset before its
+/// closing brace is refused with a one-line error and never crashes (the
+/// perfmodel target runs under HICHI_SANITIZE=address,undefined).
+TEST(CalibrationTest, EveryTruncationFailsCleanly) {
+  // The bytes Calibration::save writes.
+  const std::string Text = Calibration::toJson(syntheticProfile());
+  const std::size_t Close = Text.rfind('}');
+  ASSERT_NE(Close, std::string::npos);
+  const std::string Path = ::testing::TempDir() + "hichi_profile_cut.json";
+  for (std::size_t Size = 0; Size <= Text.size(); ++Size) {
+    SCOPED_TRACE("cut to " + std::to_string(Size) + " bytes");
+    std::FILE *File = std::fopen(Path.c_str(), "wb");
+    ASSERT_NE(File, nullptr);
+    ASSERT_EQ(std::fwrite(Text.data(), 1, Size, File), Size);
+    std::fclose(File);
+    MachineProfile Out;
+    std::string Error;
+    const bool Loaded = Calibration::load(Path, Out, &Error);
+    if (Size > Close) { // the closing brace is in: the control
+      EXPECT_TRUE(Loaded) << Error;
+      EXPECT_TRUE(Out == syntheticProfile());
+      continue;
+    }
+    EXPECT_FALSE(Loaded);
+    EXPECT_FALSE(Error.empty());
+    EXPECT_EQ(Error.find('\n'), std::string::npos) << Error;
+  }
   std::remove(Path.c_str());
 }
 

@@ -194,8 +194,12 @@ TEST(FdtdSolverTest, TiledStepBitwiseMatchesSerial) {
       FdtdSlabPartition<double> Partition(Size, Tiles);
       YeeGrid<double> G = Initial;
       RunStats Stats;
+      exec::KernelCache Cache;
       for (int T = 0; T < Steps; ++T)
-        Solver.step(G, Dt, Partition, *Backend, Ctx, Stats);
+        Solver
+            .submitStep(G, Dt, Partition, *Backend, Ctx, Stats,
+                        exec::ExecEvent(), Cache)
+            .wait();
       SCOPED_TRACE("backend=" + Name + " tiles=" +
                    std::to_string(Partition.tileCount()));
       expectFieldsBitwiseEqual(G, Ref);
@@ -213,8 +217,12 @@ TEST(FdtdSolverTest, TiledStepBitwiseMatchesSerial) {
       FdtdSlabPartition<double> Partition(Size, Tiles);
       YeeGrid<double> G = Initial;
       RunStats Stats;
+      exec::KernelCache Cache;
       for (int T = 0; T < Steps; ++T)
-        Solver.step(G, Dt, Partition, *Backend, Ctx, Stats);
+        Solver
+            .submitStep(G, Dt, Partition, *Backend, Ctx, Stats,
+                        exec::ExecEvent(), Cache)
+            .wait();
       SCOPED_TRACE("shards=" + std::to_string(Shards) + " tiles=" +
                    std::to_string(Partition.tileCount()));
       expectFieldsBitwiseEqual(G, Ref);
@@ -248,8 +256,11 @@ TEST(FdtdSolverTest, SpectralTiledStepBitwiseMatchesSerial) {
       SpectralSolver<double> Par(Size, Step, 1.0);
       YeeGrid<double> G = Initial;
       RunStats Stats;
+      exec::KernelCache Cache;
       for (int T = 0; T < Steps; ++T)
-        Par.step(G, Dt, *Backend, Ctx, Tiles, Stats);
+        Par.submitStep(G, Dt, *Backend, Ctx, Tiles, Stats, exec::ExecEvent(),
+                       Cache)
+            .wait();
       SCOPED_TRACE("backend=" + Name + " tiles=" + std::to_string(Tiles));
       expectFieldsBitwiseEqual(G, Ref);
     }

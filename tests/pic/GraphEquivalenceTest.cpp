@@ -65,7 +65,6 @@ TEST(GraphEquivalenceTest, ReplayLedgerStaysAtCaptureCounts) {
   const RunStats Resubmit = Run(false);
   EXPECT_GT(Graph.Launches, 0);
   EXPECT_LT(Graph.Launches, Resubmit.Launches);
-  EXPECT_LT(Graph.SpecsBuilt, Resubmit.SpecsBuilt);
 }
 
 /// Invalidation: growing the ensemble mid-run must discard the captured

@@ -95,8 +95,12 @@ TEST(ShardEquivalenceTest, DepositBitwiseMatchesSerialScatter) {
       TiledCurrentAccumulator<double> Accumulator(Size, Origin, Step, Tiles);
       YeeGrid<double> G(Size, Origin, Step);
       RunStats Stats;
-      Accumulator.deposit(G, View, OldPos.data(), NewPos.data(), Types.data(),
-                          Dt, /*ChargeConserving=*/true, *Backend, {}, Stats);
+      exec::KernelCache Cache;
+      Accumulator
+          .submitDeposit(G, View, OldPos.data(), NewPos.data(), Types.data(),
+                         Dt, /*ChargeConserving=*/true, *Backend, {}, Stats,
+                         Cache)
+          .wait();
       SCOPED_TRACE("shards=" + std::to_string(Shards) + " tiles=" +
                    std::to_string(Accumulator.tileCount()));
       expectBitwiseEqual(G.Jx, Ref.Jx, "Jx");

@@ -134,8 +134,11 @@ void checkAccumulatorAgainstSerial(bool ChargeConserving,
       TiledCurrentAccumulator<double> Accumulator(Size, Origin, Step, Tiles);
       YeeGrid<double> G = MakeGrid();
       RunStats Stats;
-      Accumulator.deposit(G, View, OldPos.data(), NewPos.data(), Types.data(),
-                          Dt, ChargeConserving, *Backend, Ctx, Stats);
+      exec::KernelCache Cache;
+      Accumulator
+          .submitDeposit(G, View, OldPos.data(), NewPos.data(), Types.data(),
+                         Dt, ChargeConserving, *Backend, Ctx, Stats, Cache)
+          .wait();
       SCOPED_TRACE("backend=" + Name + " grid=" + std::to_string(Size.Nx) +
                    "x" + std::to_string(Size.Ny) + "x" +
                    std::to_string(Size.Nz) + " N=" + std::to_string(N) +

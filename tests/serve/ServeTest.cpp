@@ -17,6 +17,9 @@
 //     checkpoints from which a FRESH scheduler resumes every unfinished
 //     job to the same final hash.
 //
+// Around them, job-spec parsing: well-formed documents parse, and a
+// job-spec file cut anywhere is refused with a one-line error.
+//
 //===----------------------------------------------------------------------===//
 
 #include "serve/Scheduler.h"
@@ -24,9 +27,12 @@
 #include "gtest/gtest.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
+#include <string>
 #include <sys/stat.h>
 #include <thread>
+#include <vector>
 
 using namespace hichi;
 using namespace hichi::serve;
@@ -233,6 +239,38 @@ TEST(ServeTest, JobSpecJsonParsing) {
   EXPECT_NE(Error.find("duplicate"), std::string::npos) << Error;
   EXPECT_FALSE(json::parse("{not json", Doc, &Error));
   EXPECT_FALSE(Error.empty());
+}
+
+/// Hostile input: a job-spec file cut at every byte offset before its
+/// closing brace is refused with a one-line error and never crashes (the
+/// serve target runs under HICHI_SANITIZE=address,undefined).
+TEST(ServeTest, EveryJobSpecTruncationFailsCleanly) {
+  const std::string Text = R"({"jobs": [
+  {"name": "a", "tenant": "t1", "nx": 24, "steps": 10, "amplitude": 0.05},
+  {"name": "b", "solver": "spectral", "graph": false, "sort_every": 7}
+]}
+)";
+  const std::size_t Close = Text.rfind('}');
+  const std::string Path = testing::TempDir() + "hichi_jobs_cut.json";
+  for (std::size_t Size = 0; Size <= Text.size(); ++Size) {
+    SCOPED_TRACE("cut to " + std::to_string(Size) + " bytes");
+    std::FILE *File = std::fopen(Path.c_str(), "wb");
+    ASSERT_NE(File, nullptr);
+    ASSERT_EQ(std::fwrite(Text.data(), 1, Size, File), Size);
+    std::fclose(File);
+    std::vector<JobSpec> Specs;
+    std::string Error;
+    const bool Loaded = loadJobSpecs(Path, Specs, &Error);
+    if (Size > Close) { // the closing brace is in: the control
+      EXPECT_TRUE(Loaded) << Error;
+      EXPECT_EQ(Specs.size(), 2u);
+      continue;
+    }
+    EXPECT_FALSE(Loaded);
+    EXPECT_FALSE(Error.empty());
+    EXPECT_EQ(Error.find('\n'), std::string::npos) << Error;
+  }
+  std::remove(Path.c_str());
 }
 
 } // namespace
