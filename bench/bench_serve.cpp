@@ -8,39 +8,36 @@
 /// Throughput and latency of the multi-tenant serving layer: the
 /// deterministic synthetic job mix (serve/JobSpec.h) scheduled over one
 /// shared backend pool, measured end to end (queueing, lane leasing,
-/// cross-job fused rounds, completion). Two record families per
-/// configuration:
-///
-///   * stage "serve"   — whole-mix wall time per iteration; the record's
-///     particles field carries the mix's TOTAL particle-steps (steps =
-///     1), so the record's min_ns / (particles * steps) IS the
-///     serving layer's NSPS — directly comparable across runs.
-///   * stage "latency" — per-job enqueue-to-completion latencies of the
-///     last iteration as the iteration series (median_ns = p50); p95 is
-///     printed alongside.
+/// cross-job fused rounds, completion). Per configuration it prints the
+/// median whole-mix wall time of the measured iterations, jobs/s, and
+/// the p50/p95 per-job enqueue-to-completion latency of the last one.
 ///
 /// Configurations sweep the worker count x batching axis (1 worker
 /// unbatched, 2 workers unbatched, 2 workers batch=2) over the same
 /// mix; every job's final hash is checked against a standalone serial
 /// run on the first iteration (the serve bit-identity gate — the bench
-/// fails on any mismatch). Sizes: HICHI_BENCH_JOBS (default 24),
-/// HICHI_BENCH_ITERATIONS (default 3); HICHI_BENCH_JSON writes
-/// hichi-bench-v1 records.
+/// exits 1 on any mismatch).
 ///
 //===----------------------------------------------------------------------===//
 
-#include "BenchmarkHarness.h"
-
 #include "serve/Scheduler.h"
+#include "support/Statistics.h"
+#include "support/Timer.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
+#include <string>
+#include <vector>
 
 using namespace hichi;
-using namespace hichi::bench;
 using namespace hichi::serve;
 
 namespace {
+
+// The mix and the repeat count (the first iteration is a warm-up on top).
+constexpr int Jobs = 24;
+constexpr int Iterations = 3;
 
 struct ServeConfigPoint {
   const char *Label;
@@ -49,8 +46,8 @@ struct ServeConfigPoint {
 };
 
 struct MixResult {
-  MeasuredSeries Wall;          ///< whole-mix wall per iteration
-  std::vector<double> Latencies;///< per-job latency ns (last iteration)
+  std::vector<double> WallNs;    ///< whole-mix wall per iteration
+  std::vector<double> Latencies; ///< per-job latency ns (last iteration)
   long long FusedRounds = 0;
   bool HashesOk = true;
 };
@@ -58,7 +55,7 @@ struct MixResult {
 /// Runs the whole mix Iterations + 1 times (first = warmup + hash gate)
 /// over a fresh pool per configuration.
 MixResult measureMix(const std::vector<JobSpec> &Specs,
-                     const ServeConfigPoint &Point, int Iterations,
+                     const ServeConfigPoint &Point,
                      const std::map<std::string, std::uint64_t> &Reference) {
   BackendPool Pool(/*TotalLanes=*/8, /*LanesPerJob=*/2);
   MixResult Out;
@@ -84,7 +81,7 @@ MixResult measureMix(const std::vector<JobSpec> &Specs,
     }
     if (It == 0)
       continue; // warmup: pool lanes spun up, arenas first-touched
-    Out.Wall.IterationNs.push_back(WallNs);
+    Out.WallNs.push_back(WallNs);
     Out.FusedRounds = Sched.fusedRounds();
   }
   return Out;
@@ -93,9 +90,6 @@ MixResult measureMix(const std::vector<JobSpec> &Specs,
 } // namespace
 
 int main() {
-  const int Jobs = int(getEnvInt("HICHI_BENCH_JOBS").value_or(24));
-  const int Iterations =
-      int(getEnvInt("HICHI_BENCH_ITERATIONS").value_or(3));
   const std::vector<JobSpec> Specs = syntheticJobMix(Jobs, /*Tenants=*/2);
 
   long long ParticleSteps = 0;
@@ -120,17 +114,16 @@ int main() {
       {"2w-batch2", 2, 2},
   };
 
-  JsonReport Report("bench_serve");
   std::printf("%-14s %10s %9s %10s %10s %7s %6s\n", "config", "wall ms",
               "jobs/s", "p50 ms", "p95 ms", "fused", "hash");
-  printRule(72);
+  std::printf("%s\n", std::string(72, '-').c_str());
 
   bool AllOk = true;
   for (const ServeConfigPoint &Point : Points) {
-    MixResult R = measureMix(Specs, Point, Iterations, Reference);
+    MixResult R = measureMix(Specs, Point, Reference);
     AllOk = AllOk && R.HashesOk;
 
-    const double WallNs = R.Wall.medianNs();
+    const double WallNs = median(R.WallNs);
     const double JobsPerSec = WallNs > 0 ? double(Jobs) / (WallNs / 1e9) : 0;
     std::sort(R.Latencies.begin(), R.Latencies.end());
     const double P50 = percentile(R.Latencies, 0.50);
@@ -138,42 +131,10 @@ int main() {
     std::printf("%-14s %10.2f %9.1f %10.2f %10.2f %7lld %6s\n", Point.Label,
                 WallNs / 1e6, JobsPerSec, P50 / 1e6, P95 / 1e6,
                 R.FusedRounds, R.HashesOk ? "OK" : "FAIL");
-
-    // Throughput record: particles = the mix's total particle-steps and
-    // steps = 1, so the gate's min_ns/(particles*steps) is serve NSPS.
-    BenchRecord Serve;
-    Serve.Backend = "pool";
-    Serve.Stage = "serve";
-    Serve.Scenario = std::string("mix-") + Point.Label;
-    Serve.Layout = "aos";
-    Serve.Precision = "double";
-    Serve.Particles = ParticleSteps;
-    Serve.Steps = 1;
-    Serve.Iterations = Iterations;
-    Serve.Threads = Point.Workers;
-    Serve.Submit = Point.BatchMax > 1 ? "fused-rounds" : "per-job";
-    MeasuredSeries WallSeries = R.Wall;
-    WallSeries.Nsps =
-        ParticleSteps > 0 ? WallNs / double(ParticleSteps) : 0;
-    Serve.setSeries(WallSeries);
-    Report.add(Serve);
-
-    // Latency record: the per-job latency distribution is the iteration
-    // series, normalized per particle-step of the average job.
-    BenchRecord Latency = Serve;
-    Latency.Stage = "latency";
-    Latency.Particles = ParticleSteps / std::max<long long>(Jobs, 1);
-    MeasuredSeries LatencySeries;
-    LatencySeries.IterationNs = R.Latencies;
-    LatencySeries.Nsps =
-        Latency.Particles > 0 ? P50 / double(Latency.Particles) : 0;
-    Latency.setSeries(LatencySeries);
-    Report.add(Latency);
   }
 
   std::printf("\nserve bit-identity: %s (every served job's final hash vs "
               "its standalone serial run)\n",
               AllOk ? "OK" : "FAIL");
-  Report.writeEnvRequested();
   return AllOk ? 0 : 1;
 }

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # CI entry point: Release build, full test suite (the cross-backend hash
 # checks included: the equivalence-matrix targets and the cli_* hash rows
-# in CMakeLists.txt), a smoke benchmark pass at tiny sizes whose JSON
-# records land in results/ as artifacts, and the perfbench gate against
-# the committed baseline (ci/perf_gate.py, ci/perf_baseline.json).
+# in CMakeLists.txt), the paper-reproduction run, the serving smoke
+# checks, and the perfbench gate against the committed baseline
+# (ci/perf_gate.py, ci/perf_baseline.json).
 #
 # sample usage:
 #
@@ -58,12 +58,6 @@ ctest --test-dir build --output-on-failure -j"$JOBS"
 
 mkdir -p results
 
-# Tiny sizes so the smoke pass takes seconds; the point is functional
-# coverage plus a machine-readable perf trace, not stable numbers.
-export HICHI_BENCH_PARTICLES="${HICHI_BENCH_PARTICLES:-4000}"
-export HICHI_BENCH_STEPS="${HICHI_BENCH_STEPS:-8}"
-export HICHI_BENCH_ITERATIONS="${HICHI_BENCH_ITERATIONS:-2}"
-
 ./build/hichi_push --list-runners
 
 # Calibrate the machine profile once (the fast sweep): the artifact is
@@ -72,22 +66,14 @@ export HICHI_BENCH_ITERATIONS="${HICHI_BENCH_ITERATIONS:-2}"
 # bit-identical.
 ./build/bench_calibrate --fast --out results/machine_profile.json
 
-HICHI_BENCH_JSON=results/BENCH_scheduling.json \
-  ./build/bench_ablation_scheduling
+# The paper's tables, figure and Section 3-5 observations, one section
+# each (paper, model and host columns; ~30 s). The model columns are
+# gated by the perfmodel ctest target above, the host columns are
+# printed only.
+./build/paper_repro
 # bench_serve fails by itself if any served job's final hash deviates
-# from a standalone serial run of the same spec; records throughput
-# (stage "serve") and per-job latency (stage "latency") per config.
-HICHI_BENCH_JOBS="${HICHI_BENCH_JOBS:-8}" \
-  HICHI_BENCH_JSON=results/BENCH_serve.json ./build/bench_serve
-for RUNNER in serial openmp dpcpp dpcpp-numa sharded; do
-  ./build/hichi_push --runner "$RUNNER" --particles 20000 --steps 10 \
-    --iterations 2 --json "results/BENCH_push_${RUNNER}.json" \
-    | grep -E "NSPS|state hash"
-done
-# The step-loop graph shape (capture step 0, replay the rest).
-./build/hichi_push --runner dpcpp --graph --particles 20000 --steps 10 \
-  --iterations 2 --json results/BENCH_push_dpcpp_graph.json \
-  | grep -E "NSPS|state hash"
+# from a standalone serial run of the same spec.
+./build/bench_serve
 
 # Serving smoke: the multi-tenant job runner must complete 100 jobs
 # across 4 tenants over one shared pool with cross-job batching, and a
@@ -133,22 +119,16 @@ print("doc links: OK")
 EOF
 fi
 
-# The JSON artifacts must parse.
+# The machine profile artifact must parse and hold measured sections.
 if command -v python3 >/dev/null 2>&1; then
   python3 - <<'EOF'
-import glob, json
-files = glob.glob("results/BENCH_*.json")
-assert files, "no JSON artifacts produced"
-for f in files:
-    with open(f) as fh:
-        doc = json.load(fh)
-    assert doc["schema"] == "hichi-bench-v1" and doc["results"], f
+import json
 with open("results/machine_profile.json") as fh:
     prof = json.load(fh)
 assert prof["schema"] == "hichi-machine-v1", "machine_profile.json"
 assert prof["bandwidth_tiers"] and prof["submit_overheads"], \
     "machine_profile.json is missing measured sections"
-print(f"JSON artifacts: OK ({len(files)} files + machine profile)")
+print("machine profile: OK")
 EOF
 fi
 

@@ -24,6 +24,5 @@
 #include "core/Particle.h"
 #include "core/ParticleArray.h"
 #include "core/ParticleTypes.h"
-#include "core/Trajectory.h"
 
 #endif // HICHI_CORE_CORE_H

@@ -22,7 +22,8 @@
 ///
 /// Parameters come from Table 1 plus the public specs of the devices; the
 /// derived bandwidth numbers are recorded here as named constants so the
-/// calibration is auditable (see EXPERIMENTS.md).
+/// calibration is auditable (bench/paper_repro prints the model beside
+/// the paper's Table 3).
 ///
 //===----------------------------------------------------------------------===//
 

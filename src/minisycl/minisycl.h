@@ -23,7 +23,6 @@
 #ifndef HICHI_MINISYCL_MINISYCL_H
 #define HICHI_MINISYCL_MINISYCL_H
 
-#include "minisycl/buffer.h"
 #include "minisycl/device.h"
 #include "minisycl/event.h"
 #include "minisycl/handler.h"

@@ -10,8 +10,8 @@
 /// (3.9 boost), 3.6 TFlops single precision, 6-channel DDR4-2933 per
 /// socket. The bandwidth figures below are the standard sustained numbers
 /// for that platform (STREAM-class ~135 GB/s/socket local, ~60 GB/s UPI
-/// remote) — they are the only calibration inputs of the CPU model; see
-/// EXPERIMENTS.md for the audit against the paper's measurements.
+/// remote) — they are the only calibration inputs of the CPU model;
+/// bench/paper_repro prints the model beside the paper's measurements.
 ///
 //===----------------------------------------------------------------------===//
 

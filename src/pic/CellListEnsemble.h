@@ -12,7 +12,7 @@
 /// overhead when parallelizing computations." Hi-Chi (and this repo's
 /// primary path) uses the second method — one flat array with periodic
 /// sorting — but the first method is implemented here so the trade-off
-/// can actually be measured (bench_ablation_storage).
+/// can actually be measured (paper_repro's storage section).
 ///
 /// Particles live in per-cell std::vectors of AoS records; after each
 /// push, migrate() moves escapees to their new cells (the overhead the

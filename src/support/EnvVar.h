@@ -39,7 +39,7 @@ std::optional<long> getEnvInt(const char *Name);
 /// true, "0"/"false"/"off"/"no" are false (case-insensitive, surrounding
 /// whitespace trimmed), anything else — including unset — is
 /// std::nullopt so the caller's default applies. The one parser for
-/// every boolean knob (MINISYCL_ASYNC_SUBMIT, HICHI_BENCH_*), so falsy
+/// every boolean knob (MINISYCL_ASYNC_SUBMIT, …), so falsy
 /// spellings behave uniformly; knob precedence is always
 /// CLI flag > environment > built-in default.
 std::optional<bool> getEnvBool(const char *Name);

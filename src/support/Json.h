@@ -10,8 +10,8 @@
 /// the full value model (null/bool/number/string/array/object), strict
 /// enough to reject malformed input with a position-stamped error, and
 /// nothing else — no streaming, no DOM mutation, no allocator knobs.
-/// Writers in this codebase emit JSON with fprintf (BenchReport.h
-/// precedent); escapeJsonString covers the string quoting they need.
+/// Writers in this codebase emit JSON with fprintf; escapeJsonString
+/// covers the string quoting they need.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -1,4 +1,4 @@
-//===-- tests/core/EnsembleToolsTest.cpp - Batch/ops/ckpt/trajectory -----===//
+//===-- tests/core/EnsembleToolsTest.cpp - Batch pusher, ensemble ops, checkpoints ===//
 //
 // Part of the hichi-boris-dpcpp-repro project, under the MIT License.
 //
@@ -194,62 +194,6 @@ TEST(CheckpointTest, RejectsInsufficientCapacity) {
   ParticleArrayAoS<double> Small(4);
   EXPECT_FALSE(loadCheckpoint(Small, Path));
   std::remove(Path.c_str());
-}
-
-//===----------------------------------------------------------------------===//
-// Trajectory
-//===----------------------------------------------------------------------===//
-
-TEST(TrajectoryTest, GyroOrbitClosesAndDriftIsZero) {
-  ParticleArrayAoS<double> P(1);
-  ParticleT<double> Init;
-  Init.Momentum = {0.1, 0, 0};
-  Init.Gamma = lorentzGamma(Init.Momentum, 1.0, 1.0);
-  P.pushBack(Init);
-  auto Types = ParticleTypeTable<double>::natural();
-  FieldSample<double> F{{0, 0, 0}, {0, 0, 1.0}};
-  const double Period = 2 * constants::Pi * Init.Gamma;
-  const int Steps = 2000;
-  const double Dt = Period / Steps;
-
-  Trajectory<double> Orbit;
-  Orbit.record(0.0, P[0]);
-  for (int S = 0; S < Steps; ++S) {
-    BorisPusher::push<double>(P[0], F, Types.data(), Dt, 1.0);
-    Orbit.record((S + 1) * Dt, P[0]);
-  }
-  EXPECT_EQ(Orbit.size(), std::size_t(Steps) + 1);
-  EXPECT_LT(Orbit.closureError(), 1e-4);
-  EXPECT_LT(Orbit.meanVelocity().norm(), 1e-4);
-  // Path length of a circle of radius p/B over one period ~ 2 pi r.
-  EXPECT_NEAR(Orbit.pathLength(), 2 * constants::Pi * 0.1, 1e-3);
-  Vector3<double> Lo, Hi;
-  Orbit.boundingBox(Lo, Hi);
-  EXPECT_NEAR(Hi.X - Lo.X, 2 * 0.1, 1e-3); // diameter
-}
-
-TEST(TrajectoryRecorderTest, TracksSelectedParticles) {
-  ParticleArrayAoS<double> P(10);
-  for (int I = 0; I < 10; ++I) {
-    ParticleT<double> Particle;
-    Particle.Momentum = {double(I), 0, 0};
-    Particle.Gamma = lorentzGamma(Particle.Momentum, 1.0, 1.0);
-    P.pushBack(Particle);
-  }
-  TrajectoryRecorder<double> Recorder({2, 7});
-  Recorder.sample(P, 0.0);
-  auto Types = ParticleTypeTable<double>::natural();
-  FieldSample<double> F{{0, 0, 0}, {0, 0, 0}};
-  for (Index I = 0; I < 10; ++I)
-    BorisPusher::push<double>(P[I], F, Types.data(), 1.0, 1.0);
-  Recorder.sample(P, 1.0);
-
-  EXPECT_EQ(Recorder.trackedCount(), 2u);
-  // Particle 7 moved at v = p/(gamma m).
-  double Gamma7 = lorentzGamma(Vector3<double>(7, 0, 0), 1.0, 1.0);
-  EXPECT_NEAR(Recorder.trajectory(1).meanVelocity().X, 7.0 / Gamma7, 1e-12);
-  EXPECT_NEAR(Recorder.trajectory(0).maxGamma(),
-              lorentzGamma(Vector3<double>(2, 0, 0), 1.0, 1.0), 1e-12);
 }
 
 //===----------------------------------------------------------------------===//

@@ -348,44 +348,4 @@ TEST(GpuQueueTest, WithoutHintFallsBackToHostTime) {
   sycl::free(Data);
 }
 
-//===----------------------------------------------------------------------===//
-// Buffers and accessors
-//===----------------------------------------------------------------------===//
-
-TEST(BufferTest, HostAccessRoundTrip) {
-  sycl::buffer<int, 1> Buf{sycl::range<1>(10)};
-  auto Acc = Buf.get_host_access();
-  for (std::size_t I = 0; I < 10; ++I)
-    Acc[I] = int(I * I);
-  EXPECT_EQ(Acc[3], 9);
-  EXPECT_EQ(Buf.size(), 10u);
-}
-
-TEST(BufferTest, CopyInConstructor) {
-  std::vector<float> Host = {1, 2, 3, 4};
-  sycl::buffer<float, 1> Buf(Host.data(), sycl::range<1>(4));
-  Host[0] = 99; // buffer must have its own copy
-  auto Acc = Buf.get_host_access();
-  EXPECT_FLOAT_EQ(Acc[0], 1.0f);
-}
-
-TEST(BufferTest, KernelThroughAccessor) {
-  sycl::queue Q{sycl::cpu_device()};
-  sycl::buffer<int, 1> Buf{sycl::range<1>(100)};
-  Q.submit([&](sycl::handler &H) {
-     auto Acc = Buf.get_access<sycl::access_mode::read_write>(H);
-     H.parallel_for(sycl::range<1>(100),
-                    [=](sycl::id<1> I) { Acc[I] = 7; });
-   }).wait();
-  auto Host = Buf.get_host_access<sycl::access_mode::read>();
-  EXPECT_EQ(Host[99], 7);
-}
-
-TEST(BufferTest, TwoDimensionalIndexing) {
-  sycl::buffer<double, 2> Buf{sycl::range<2>(3, 4)};
-  auto Acc = Buf.get_host_access();
-  Acc[sycl::id<2>(2, 3)] = 6.5;
-  EXPECT_DOUBLE_EQ(Buf.data()[2 * 4 + 3], 6.5);
-}
-
 } // namespace

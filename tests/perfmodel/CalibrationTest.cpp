@@ -105,7 +105,7 @@ TEST(CalibrationTest, EveryTruncationFailsCleanly) {
 TEST(CalibrationTest, FromJsonRejectsWrongSchema) {
   json::Value Doc;
   std::string Error;
-  ASSERT_TRUE(json::parse(R"({"schema": "hichi-bench-v1"})", Doc, &Error));
+  ASSERT_TRUE(json::parse(R"({"schema": "hichi-machine-v0"})", Doc, &Error));
   MachineProfile Out;
   EXPECT_FALSE(Calibration::fromJson(Doc, Out, &Error));
 }

@@ -189,7 +189,7 @@ TEST(EnvVarTest, IntParsing) {
 }
 
 TEST(EnvVarTest, IntParsingTrimsWhitespace) {
-  // An `export HICHI_BENCH_STEPS=" 8 "`-style value must parse, not be
+  // An `export HICHI_STEPS=" 8 "`-style value must parse, not be
   // silently ignored.
   ::setenv("HICHI_TEST_INT", "  42  ", 1);
   EXPECT_EQ(getEnvInt("HICHI_TEST_INT"), 42);
@@ -211,7 +211,7 @@ TEST(EnvVarTest, TrimmedStringAccessor) {
 
 TEST(EnvVarTest, BoolParsingAcceptsEverySpelling) {
   // The uniform boolean-knob grammar (MINISYCL_ASYNC_SUBMIT and every
-  // HICHI_BENCH_* boolean): 0/1/true/false/on/off/yes/no,
+  // other boolean knob): 0/1/true/false/on/off/yes/no,
   // case-insensitive, whitespace-trimmed; anything else keeps the
   // caller's default (nullopt).
   for (const char *Truthy : {"1", "true", "TRUE", "on", "On", "yes", " 1 "}) {

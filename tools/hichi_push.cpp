@@ -14,7 +14,7 @@
 ///       --precision float --particles 1000000 --steps 100
 ///   hichi_push --device xemax --layout aos     # Table 3 flavour
 ///   hichi_push --list-runners                  # what can --runner be?
-///   hichi_push --runner dpcpp --fuse 8 --json results/push.json
+///   hichi_push --runner dpcpp --fuse 8
 /// \endcode
 ///
 /// Backends are resolved by name from the exec registry, so newly
@@ -33,7 +33,6 @@
 #include "fields/PrecalculatedFields.h"
 #include "perfmodel/WorkloadModel.h"
 #include "support/ArgParse.h"
-#include "support/BenchReport.h"
 #include "support/Timer.h"
 
 #include <algorithm>
@@ -53,7 +52,6 @@ struct Config {
   std::string Runner = "dpcpp";
   std::string Device = "cpu";
   std::string Pusher = "boris";
-  std::string JsonPath;
   Index Particles = 1'000'000;
   int Steps = 50;
   int Iterations = 3;
@@ -145,56 +143,21 @@ int runBenchmark(const Config &Cfg) {
   };
 
   RunOnce(); // warmup (JIT + first touch)
-  bench::MeasuredSeries Series;
   double TotalNs = 0;
   for (int It = 0; It < Cfg.Iterations; ++It) {
     RunStats Stats = RunOnce();
     double IterNs = Dev.is_gpu() ? Stats.ModeledNs : Stats.HostNs;
-    Series.IterationNs.push_back(IterNs);
     TotalNs += IterNs;
     std::printf("iteration %d: %.2f ms\n", It, IterNs / 1e6);
   }
-  Series.Nsps = nsPerParticlePerStep(TotalNs, Cfg.Iterations,
-                                     double(Cfg.Particles),
-                                     double(Cfg.Steps));
-  std::printf("\nNSPS = %.3f ns/particle/step on '%s'%s\n", Series.Nsps,
+  const double Nsps = nsPerParticlePerStep(
+      TotalNs, Cfg.Iterations, double(Cfg.Particles), double(Cfg.Steps));
+  std::printf("\nNSPS = %.3f ns/particle/step on '%s'%s\n", Nsps,
               Dev.name().c_str(),
               Dev.is_gpu() ? " (device-modeled)" : " (measured)");
   std::printf("final state hash = %016llx (backend-independent)\n",
               (unsigned long long)stateHash(Particles));
 
-  if (!Cfg.JsonPath.empty()) {
-    // What actually ran: --graph wins, --chain forces the chained
-    // shape, and FusionMode::Auto picks chaining on asynchronous
-    // backends too.
-    const bool Chained =
-        !Cfg.Graph && (Cfg.Chain || Backend->isAsynchronous());
-    bench::JsonReport Report("hichi_push");
-    bench::BenchRecord R;
-    R.Backend = Cfg.Runner;
-    R.Stage = "push"; // the standalone pusher is the PIC loop's stage 1+2
-    R.Scenario = Cfg.Analytical ? "analytical" : "precalculated";
-    R.Layout = Cfg.SoA ? "soa" : "aos";
-    R.Precision = Cfg.SinglePrecision ? "float" : "double";
-    R.Particles = (long long)Cfg.Particles;
-    R.Steps = Cfg.Steps;
-    R.Iterations = Cfg.Iterations;
-    // The chained shape submits single steps — record fuse as what
-    // actually ran, and the submission mode as its own dimension, so
-    // chained and mega-kernel records never collide.
-    R.FuseSteps = Chained || Cfg.Graph ? 1 : Cfg.FuseSteps;
-    R.Submit = Cfg.Graph ? "graph" : Chained ? "event-chain" : "mega-kernel";
-    R.Threads = Cfg.Threads;
-    R.setSeries(Series);
-    Report.add(R);
-    if (Report.writeFile(Cfg.JsonPath))
-      std::printf("wrote JSON record to %s\n", Cfg.JsonPath.c_str());
-    else {
-      std::fprintf(stderr, "error: could not write %s\n",
-                   Cfg.JsonPath.c_str());
-      return 1;
-    }
-  }
   return 0;
 }
 
@@ -232,7 +195,6 @@ int main(int Argc, char **Argv) {
   Args.addOption("fuse", "time steps per kernel (multi-step fusion)", "1");
   Args.addOption("threads", "worker threads (0 = all)", "0");
   Args.addOption("grain", "dynamic chunk size (0 = auto)", "0");
-  Args.addOption("json", "write a machine-readable record to this path", "");
   Args.addFlag("chain", "submit steps as an event chain (non-blocking "
                         "submit + one wait) instead of fused mega-kernels");
   Args.addFlag("graph", "capture the first step's launch as a step graph "
@@ -263,7 +225,6 @@ int main(int Argc, char **Argv) {
   Cfg.Pusher = Args.getString("pusher");
   Cfg.Device = Args.getString("device");
   Cfg.Runner = Args.getString("runner");
-  Cfg.JsonPath = Args.getString("json");
   Cfg.Particles = Index(Args.getInt("particles").value_or(1'000'000));
   Cfg.Steps = std::max(1, int(Args.getInt("steps").value_or(50)));
   Cfg.Iterations = std::max(1, int(Args.getInt("iterations").value_or(3)));
