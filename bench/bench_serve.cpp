@@ -8,15 +8,14 @@
 /// Throughput and latency of the multi-tenant serving layer: the
 /// deterministic synthetic job mix (serve/JobSpec.h) scheduled over one
 /// shared backend pool, measured end to end (queueing, lane leasing,
-/// cross-job fused rounds, completion). Per configuration it prints the
-/// median whole-mix wall time of the measured iterations, jobs/s, and
-/// the p50/p95 per-job enqueue-to-completion latency of the last one.
+/// stepping, completion). Per configuration it prints the median
+/// whole-mix wall time of the measured iterations, jobs/s, and the
+/// p50/p95 per-job enqueue-to-completion latency of the last one.
 ///
-/// Configurations sweep the worker count x batching axis (1 worker
-/// unbatched, 2 workers unbatched, 2 workers batch=2) over the same
-/// mix; every job's final hash is checked against a standalone serial
-/// run on the first iteration (the serve bit-identity gate — the bench
-/// exits 1 on any mismatch).
+/// Configurations sweep the worker count (1, 2 and 4 workers, each
+/// driving one job at a time) over the same mix; every job's final hash
+/// is checked against a standalone serial run on the first iteration
+/// (the serve bit-identity gate — the bench exits 1 on any mismatch).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,13 +41,11 @@ constexpr int Iterations = 3;
 struct ServeConfigPoint {
   const char *Label;
   int Workers;
-  int BatchMax;
 };
 
 struct MixResult {
   std::vector<double> WallNs;    ///< whole-mix wall per iteration
   std::vector<double> Latencies; ///< per-job latency ns (last iteration)
-  long long FusedRounds = 0;
   bool HashesOk = true;
 };
 
@@ -62,7 +59,6 @@ MixResult measureMix(const std::vector<JobSpec> &Specs,
   for (int It = 0; It <= Iterations; ++It) {
     ServeConfig Config;
     Config.Workers = Point.Workers;
-    Config.BatchMax = Point.BatchMax;
     Scheduler Sched(Pool, Config);
     for (const JobSpec &Spec : Specs)
       Sched.enqueue(Spec);
@@ -82,7 +78,6 @@ MixResult measureMix(const std::vector<JobSpec> &Specs,
     if (It == 0)
       continue; // warmup: pool lanes spun up, arenas first-touched
     Out.WallNs.push_back(WallNs);
-    Out.FusedRounds = Sched.fusedRounds();
   }
   return Out;
 }
@@ -109,14 +104,14 @@ int main() {
     Reference[Spec.Name] = runStandalone(Spec);
 
   const ServeConfigPoint Points[] = {
-      {"1w-unbatched", 1, 1},
-      {"2w-unbatched", 2, 1},
-      {"2w-batch2", 2, 2},
+      {"1w", 1},
+      {"2w", 2},
+      {"4w", 4},
   };
 
-  std::printf("%-14s %10s %9s %10s %10s %7s %6s\n", "config", "wall ms",
-              "jobs/s", "p50 ms", "p95 ms", "fused", "hash");
-  std::printf("%s\n", std::string(72, '-').c_str());
+  std::printf("%-14s %10s %9s %10s %10s %6s\n", "config", "wall ms",
+              "jobs/s", "p50 ms", "p95 ms", "hash");
+  std::printf("%s\n", std::string(64, '-').c_str());
 
   bool AllOk = true;
   for (const ServeConfigPoint &Point : Points) {
@@ -128,9 +123,9 @@ int main() {
     std::sort(R.Latencies.begin(), R.Latencies.end());
     const double P50 = percentile(R.Latencies, 0.50);
     const double P95 = percentile(R.Latencies, 0.95);
-    std::printf("%-14s %10.2f %9.1f %10.2f %10.2f %7lld %6s\n", Point.Label,
+    std::printf("%-14s %10.2f %9.1f %10.2f %10.2f %6s\n", Point.Label,
                 WallNs / 1e6, JobsPerSec, P50 / 1e6, P95 / 1e6,
-                R.FusedRounds, R.HashesOk ? "OK" : "FAIL");
+                R.HashesOk ? "OK" : "FAIL");
   }
 
   std::printf("\nserve bit-identity: %s (every served job's final hash vs "

@@ -76,11 +76,11 @@ mkdir -p results
 ./build/bench_serve
 
 # Serving smoke: the multi-tenant job runner must complete 100 jobs
-# across 4 tenants over one shared pool with cross-job batching, and a
-# sample of the served hashes must be bit-identical to standalone
-# serial runs of the same specs (hichi_serve exits nonzero on any
-# mismatch or unfinished job).
-./build/hichi_serve --synthetic 100 --tenants 4 --workers 2 --batch 2 \
+# across 4 tenants over one shared pool, four jobs at a time (one per
+# worker), and a sample of the served hashes must be bit-identical to
+# standalone serial runs of the same specs (hichi_serve exits nonzero
+# on any mismatch or unfinished job).
+./build/hichi_serve --synthetic 100 --tenants 4 --workers 4 \
   --verify-sample 10 --quiet
 echo "serve smoke: OK (100 jobs, 4 tenants, sampled hashes standalone-identical)"
 

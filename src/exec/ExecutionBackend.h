@@ -83,7 +83,11 @@ struct KernelProfile;
 /// Aggregate timing of a sequence of backend launches (one runStepLoop
 /// call, or one PIC stage over a run).
 struct RunStats {
-  double HostNs = 0;    ///< wall time spent in kernels on this host
+  /// Kernel time on this host. Synchronous backends measure the wall of
+  /// each launch; multi-lane asynchronous backends (sharded, pool) add
+  /// each lane block's busy time, so this is kernel time summed over
+  /// lanes, not elapsed time — time a call with a Stopwatch for that.
+  double HostNs = 0;
   double ModeledNs = 0; ///< gpusim-modeled time (== HostNs on CPU paths)
   bool Modeled = false; ///< true if ModeledNs came from the device model
 

@@ -50,11 +50,6 @@ bool StepGraph::instantiate() {
 }
 
 void StepGraph::replay(const ExecutionContext &Ctx) {
-  replayNoWait(Ctx);
-  waitReplay();
-}
-
-void StepGraph::replayNoWait(const ExecutionContext &Ctx) {
   assert(Instantiated && "replay of an un-instantiated graph");
   const int Delta = Params->StepIndex - BaseStep;
   ReplayEvents.clear();
@@ -71,9 +66,6 @@ void StepGraph::replayNoWait(const ExecutionContext &Ctx) {
     ReplayEvents.push_back(
         N.Backend->timedSubmitImpl(N.Spec, N.Kernel, Ctx, *N.Stats));
   }
-}
-
-void StepGraph::waitReplay() {
   // Waiting in submission (topological) order retires every node and
   // publishes its stats; later waits are no-ops once the terminals have
   // completed.

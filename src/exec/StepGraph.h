@@ -164,25 +164,7 @@ public:
   /// the captured ordered loop, and the caller may touch results and
   /// stats immediately after. Residual per-node re-issue cost
   /// accumulates into each node's captured RunStats::SubmitNs.
-  /// Equivalent to replayNoWait(Ctx); waitReplay().
   void replay(const ExecutionContext &Ctx);
-
-  /// The issue half of replay(): submits every node (with the rebasing
-  /// and dependency refill above) but does *not* wait — on asynchronous
-  /// backends the whole step is in flight when this returns. A driver
-  /// that owns several graphs on disjoint backend lanes (the serve
-  /// layer's cross-job batcher) issues all of them back to back, then
-  /// waits each, so the jobs' steps genuinely overlap as one fused
-  /// launch round. Must be paired with waitReplay() before the next
-  /// replayNoWait(), before touching results/stats, and before the
-  /// driver's own step epilogue.
-  void replayNoWait(const ExecutionContext &Ctx);
-
-  /// The wait half of replay(): blocks until every node issued by the
-  /// matching replayNoWait() has completed (waits in submission order,
-  /// which is a topological order, so every node retires and publishes
-  /// its stats). No-op if nothing is in flight.
-  void waitReplay();
 
   /// Discards every node (the driver recaptures after a shape change).
   void clear() {

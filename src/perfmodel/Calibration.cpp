@@ -423,8 +423,9 @@ bool Calibration::fromJson(const json::Value &Doc, MachineProfile &Out,
   }
   Out = MachineProfile{};
   Out.Host = Doc.stringOr("host", "unknown-host");
-  Out.Threads = int(Doc.intOr("threads", 1));
-  Out.NumaDomains = int(Doc.intOr("numa_domains", 1));
+  if (!Doc.readInt("threads", Out.Threads, Error) ||
+      !Doc.readInt("numa_domains", Out.NumaDomains, Error))
+    return false;
   Out.FmaFlopsPerCore = numberField(Doc, "fma_flops_per_core");
   Out.FmaFlopsSaturated = numberField(Doc, "fma_flops_saturated");
   if (const json::Value *Tiers = Doc.find("bandwidth_tiers")) {

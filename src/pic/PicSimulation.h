@@ -300,7 +300,7 @@ public:
       issueStep(*Backend, *DepositExec, *FieldExec, /*TimeStages=*/true);
     } else {
       Stopwatch Wall;
-      if (canSubmitStepAsync()) {
+      if (graphIsCurrent()) {
         // sortByCell between replays is safe: it permutes particle
         // storage in place, so every captured pointer stays valid.
         Graph->replay(context());
@@ -313,44 +313,17 @@ public:
     finishStep();
   }
 
-  /// True when the next step can replay the captured graph, and hence run
-  /// as the split submit/finish pair below: graph mode is on and the DAG
-  /// is valid for the current ensemble size and partition epoch (a fired
-  /// rebalance or a window shift re-splits the ranges the graph baked
-  /// in). False on the capture step and after any invalidation — the
-  /// driver falls back to step() for those (which captures/recaptures),
-  /// then splits again.
-  bool canSubmitStepAsync() const {
+private:
+  /// True when the next step can replay the captured graph: graph mode
+  /// is on and the DAG is valid for the current ensemble size and
+  /// partition epoch (a fired rebalance or a window shift re-splits the
+  /// ranges the graph baked in). False on the capture step and after
+  /// any invalidation — step() then captures/recaptures.
+  bool graphIsCurrent() const {
     return Options.UseStepGraph && Graph && Graph->instantiated() &&
            GraphN == Particles.size() && GraphEpoch == PartitionEpoch;
   }
 
-  /// The issue half of a replayed step: rebinds the step index and
-  /// simulation time and issues the captured DAG without waiting — on
-  /// asynchronous backends the whole step is in flight when this
-  /// returns. The serve layer's batcher submits several jobs'
-  /// simulations back to back (each on its own disjoint pool lanes)
-  /// before finishing any, so their steps overlap as one fused launch
-  /// round. Must be paired with finishStepAsync() before any other
-  /// member call. Only legal when canSubmitStepAsync().
-  void submitStepAsync() {
-    bindStepParams();
-    AsyncStepWatch.reset();
-    Graph->replayNoWait(context());
-  }
-
-  /// The wait half: blocks until the issued step completes, then runs
-  /// the shared host epilogue (counters, periodic sort, open boundary,
-  /// rebalance check). submitStepAsync() + finishStepAsync() is
-  /// bit-identical to step() on the replay path.
-  void finishStepAsync() {
-    Graph->waitReplay();
-    addWall(GraphTiming, AsyncStepWatch);
-    ++GraphReplays;
-    finishStep();
-  }
-
-private:
   /// The one four-stage step sequence, issued through \p PushX,
   /// \p DepositX and \p FieldX: the stage backends themselves on a
   /// classic step, or their GraphCapture wrappers on a capture step
@@ -1000,7 +973,6 @@ private:
   RunStats FieldLaunchStats;    ///< field-chain launch ledger
   RunStats GraphTiming;         ///< graph-mode step wall (capture+replay)
   exec::ParamBlock StepParams; ///< per-step rebinding surface
-  Stopwatch AsyncStepWatch;    ///< submitStepAsync -> finishStepAsync wall
   exec::KernelCache StageCache; ///< clear and stage-1 bodies
   exec::KernelCache ChainCache; ///< deposit + field chain bodies
   std::unique_ptr<exec::StepGraph> Graph;

@@ -44,23 +44,16 @@ BackendPool::BackendPool(int TotalLanes, int LanesPerJob) {
       });
 }
 
-std::vector<LaneLease> BackendPool::acquire(int Slots) {
-  Slots = std::min(std::max(Slots, 1), SlotCount);
+LaneLease BackendPool::acquire() {
   std::unique_lock<std::mutex> Lock(Mutex);
-  std::vector<LaneLease> Leases;
+  auto Free = SlotBusy.end();
   SlotFreed.wait(Lock, [&] {
-    int Free = 0;
-    for (std::size_t S = 0; S < SlotBusy.size(); ++S)
-      Free += SlotBusy[S] ? 0 : 1;
-    return Free >= Slots;
+    Free = std::find(SlotBusy.begin(), SlotBusy.end(), false);
+    return Free != SlotBusy.end();
   });
-  for (int S = 0; S < SlotCount && int(Leases.size()) < Slots; ++S) {
-    if (SlotBusy[std::size_t(S)])
-      continue;
-    SlotBusy[std::size_t(S)] = true;
-    Leases.push_back(LaneLease{S, S * PerJob, PerJob});
-  }
-  return Leases;
+  *Free = true;
+  const int S = int(Free - SlotBusy.begin());
+  return LaneLease{S, S * PerJob, PerJob};
 }
 
 void BackendPool::release(const LaneLease &Lease) {
@@ -77,10 +70,7 @@ void BackendPool::release(const LaneLease &Lease) {
 
 int BackendPool::freeSlots() const {
   std::lock_guard<std::mutex> Lock(Mutex);
-  int Free = 0;
-  for (std::size_t S = 0; S < SlotBusy.size(); ++S)
-    Free += SlotBusy[S] ? 0 : 1;
-  return Free;
+  return int(std::count(SlotBusy.begin(), SlotBusy.end(), false));
 }
 
 BackendPool::BindGuard::BindGuard(BackendPool &Pool, const LaneLease &Lease) {

@@ -11,10 +11,8 @@
 /// **slots** and leased to jobs:
 ///
 ///   * **BackendPool** — owns the sharded backend and the slot
-///     free-list. acquire(N) blocks until N whole slots are free and
-///     hands them over atomically (all-or-nothing, so two scheduler
-///     workers can never deadlock holding partial batches); release()
-///     returns a slot and wakes waiters.
+///     free-list. acquire() blocks until a slot is free and leases it;
+///     release() returns a slot and wakes waiters.
 ///   * **PoolClientBackend** — an ExecutionBackend + ShardResources a
 ///     job's PicSimulation runs on. It forwards every submission
 ///     through ShardedBackend::submitSlice confined to its leased lane
@@ -39,7 +37,7 @@
 /// and sharded execution is bit-identical to serial for every lane
 /// count — so a job served on leased lanes prints the same
 /// picStateHash as a standalone serial run of the same spec
-/// (tests/serve/ServeEquivalenceTest.cpp).
+/// (tests/serve/ServeTest.cpp).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -77,10 +75,8 @@ public:
   int lanesPerJob() const { return PerJob; }
   int slotCount() const { return SlotCount; }
 
-  /// Blocks until \p Slots whole slots are free, then leases them
-  /// atomically (all-or-nothing — a waiter never holds a partial
-  /// batch). \p Slots is clamped to slotCount().
-  std::vector<LaneLease> acquire(int Slots);
+  /// Blocks until a slot is free, then leases it.
+  LaneLease acquire();
 
   /// Returns \p Lease's slot to the free list and wakes waiters. The
   /// caller must have waited all of the lease's in-flight launches

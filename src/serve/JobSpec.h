@@ -31,6 +31,7 @@
 #include "support/Json.h"
 
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace hichi {
@@ -53,15 +54,6 @@ struct JobSpec {
   bool UseGraph = true;           ///< capture + replay the step DAG
   int EnergyEvery = 0;            ///< stream field energy every N steps
 };
-
-/// The batching key: jobs whose key matches may share one fused launch
-/// round (the batcher steps them through one submit-all/finish-all
-/// cycle per step). Grid sizes may differ — each job owns its own
-/// simulation and lane slice; only the step *structure* must agree.
-inline std::string batchKey(const JobSpec &Spec) {
-  return Spec.Scenario + "|" + Spec.Solver + "|" +
-         (Spec.UseGraph ? "graph" : "classic");
-}
 
 /// Basic validity: a name, positive shape, positive steps. \returns
 /// false with a reason in \p Error.
@@ -86,23 +78,31 @@ inline bool validateJobSpec(const JobSpec &Spec, std::string *Error) {
   return true;
 }
 
-/// Parses one job object (already validated to be a JSON object).
-inline JobSpec jobSpecFromJson(const json::Value &V) {
-  JobSpec Spec;
+/// Parses one job object (already validated to be a JSON object) into
+/// \p Spec; absent fields keep JobSpec's defaults. \returns false with a
+/// reason in \p Error when an integer field holds a fraction or a value
+/// outside int.
+inline bool jobSpecFromJson(const json::Value &V, JobSpec &Spec,
+                            std::string *Error) {
+  Spec = JobSpec{};
   Spec.Name = V.stringOr("name", "");
-  Spec.Tenant = V.stringOr("tenant", "default");
-  Spec.Scenario = V.stringOr("scenario", "langmuir");
-  Spec.Nx = int(V.intOr("nx", 32));
-  Spec.Ny = int(V.intOr("ny", 4));
-  Spec.Nz = int(V.intOr("nz", 4));
-  Spec.PerCell = int(V.intOr("per_cell", 4));
-  Spec.Steps = int(V.intOr("steps", 48));
-  Spec.Amplitude = V.numberOr("amplitude", 0.02);
-  Spec.Solver = V.stringOr("solver", "fdtd");
-  Spec.SortEvery = int(V.intOr("sort_every", 100));
-  Spec.UseGraph = V.boolOr("graph", true);
-  Spec.EnergyEvery = int(V.intOr("energy_every", 0));
-  return Spec;
+  Spec.Tenant = V.stringOr("tenant", Spec.Tenant);
+  Spec.Scenario = V.stringOr("scenario", Spec.Scenario);
+  Spec.Amplitude = V.numberOr("amplitude", Spec.Amplitude);
+  Spec.Solver = V.stringOr("solver", Spec.Solver);
+  Spec.UseGraph = V.boolOr("graph", Spec.UseGraph);
+  const std::pair<const char *, int *> IntFields[] = {
+      {"nx", &Spec.Nx},         {"ny", &Spec.Ny},
+      {"nz", &Spec.Nz},         {"per_cell", &Spec.PerCell},
+      {"steps", &Spec.Steps},   {"sort_every", &Spec.SortEvery},
+      {"energy_every", &Spec.EnergyEvery}};
+  for (const auto &Field : IntFields)
+    if (!V.readInt(Field.first, *Field.second, Error)) {
+      if (Error)
+        *Error = "job '" + Spec.Name + "': " + *Error;
+      return false;
+    }
+  return true;
 }
 
 /// Parses a job-spec document (array of jobs, or object with a "jobs"
@@ -123,8 +123,8 @@ inline bool parseJobSpecs(const json::Value &Doc, std::vector<JobSpec> &Out,
         *Error = "every job entry must be an object";
       return false;
     }
-    JobSpec Spec = jobSpecFromJson(Entry);
-    if (!validateJobSpec(Spec, Error))
+    JobSpec Spec;
+    if (!jobSpecFromJson(Entry, Spec, Error) || !validateJobSpec(Spec, Error))
       return false;
     for (const JobSpec &Earlier : Out)
       if (Earlier.Name == Spec.Name) {
@@ -159,7 +159,7 @@ inline bool loadJobSpecs(const std::string &Path, std::vector<JobSpec> &Out,
 /// The deterministic synthetic mixed-size job stream: \p Count jobs
 /// named job-0000.., spread round-robin over \p Tenants tenants, grid
 /// and step counts cycling through small/medium/large so short and long
-/// jobs interleave (the fairness and batching scenarios the scheduler
+/// jobs interleave (the fairness and concurrency scenarios the scheduler
 /// tests exercise). Same (Count, Tenants) in, same stream out — CI
 /// compares served hashes against standalone reruns of the same mix.
 inline std::vector<JobSpec> syntheticJobMix(int Count, int Tenants) {

@@ -44,8 +44,6 @@ static bool fileExists(const std::string &Path) {
 Scheduler::Scheduler(BackendPool &Pool, ServeConfig Config)
     : Pool(Pool), Config(std::move(Config)) {
   this->Config.Workers = std::max(this->Config.Workers, 1);
-  this->Config.BatchMax =
-      std::min(std::max(this->Config.BatchMax, 1), Pool.slotCount());
 }
 
 std::string Scheduler::checkpointPath(const std::string &Name) const {
@@ -99,7 +97,7 @@ bool Scheduler::cancel(const std::string &Name) {
                                 J.StepsDone, J.Spec.Steps, J.LatencyNs, {}});
     writeManifestLocked();
   }
-  // Running jobs are picked up at the next round boundary.
+  // Running jobs are picked up at the next step boundary.
   return true;
 }
 
@@ -111,11 +109,6 @@ std::vector<JobResult> Scheduler::results() const {
 long long Scheduler::quantaExecuted() const {
   std::lock_guard<std::mutex> Lock(Mutex);
   return QuantaDone;
-}
-
-long long Scheduler::fusedRounds() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return FusedRoundsDone;
 }
 
 bool Scheduler::run() {
@@ -142,44 +135,29 @@ bool Scheduler::run() {
 
 void Scheduler::workerLoop() {
   while (true) {
-    std::vector<Job *> Batch;
+    Job *J = nullptr;
     {
       std::unique_lock<std::mutex> Lock(Mutex);
       QueueCV.wait(Lock, [&] { return Stopping || !Pending.empty(); });
       if (Stopping)
         return;
-
-      // FIFO head defines the batch; later pending jobs with the same
-      // batch key join (in queue order), up to BatchMax and the pool's
-      // slot budget — one slot per job, acquired all-or-nothing below.
-      Job *First = Pending.front();
+      J = Pending.front();
       Pending.pop_front();
-      First->State = JobState::Running;
-      Batch.push_back(First);
-      const std::string Key = batchKey(First->Spec);
-      for (auto It = Pending.begin();
-           It != Pending.end() && int(Batch.size()) < Config.BatchMax;) {
-        if (batchKey((*It)->Spec) == Key) {
-          (*It)->State = JobState::Running;
-          Batch.push_back(*It);
-          It = Pending.erase(It);
-        } else {
-          ++It;
-        }
-      }
-      ++RunningBatches;
+      J->State = JobState::Running;
+      ++RunningJobs;
     }
 
-    std::vector<LaneLease> Leases = Pool.acquire(int(Batch.size()));
-    runBatch(Batch, Leases);
+    const LaneLease Lease = Pool.acquire();
+    runJob(*J, Lease);
+    Pool.release(Lease);
 
     {
       std::lock_guard<std::mutex> Lock(Mutex);
-      --RunningBatches;
+      --RunningJobs;
       ++QuantaDone;
       if (Config.MaxQuanta >= 0 && QuantaDone >= Config.MaxQuanta)
         Stopping = true; // crash injection: abandon remaining work
-      if (Pending.empty() && RunningBatches == 0)
+      if (Pending.empty() && RunningJobs == 0)
         Stopping = true; // natural completion
       if (Stopping)
         QueueCV.notify_all();
@@ -187,159 +165,98 @@ void Scheduler::workerLoop() {
   }
 }
 
-void Scheduler::runBatch(std::vector<Job *> &Batch,
-                         std::vector<LaneLease> &Leases) {
-  assert(Batch.size() == Leases.size() && "one lease per job");
-  std::vector<ActiveJob> Active;
-  Active.reserve(Batch.size());
+bool Scheduler::saveCheckpoint(Job &J, Simulation &Sim) {
+  const std::string Ckpt = checkpointPath(J.Spec.Name);
+  std::string Error;
+  // tmp + rename: a crash mid-write never corrupts the previous good
+  // checkpoint.
+  if (Sim.saveState(Ckpt + ".tmp", &Error) &&
+      std::rename((Ckpt + ".tmp").c_str(), Ckpt.c_str()) == 0)
+    return true;
+  finalize(J, JobState::Failed, 0, std::move(Error));
+  return false;
+}
 
-  // Build (or restore) each job's simulation on its leased lane slice.
-  // The BindGuard routes the three createBackend("pool") calls inside
-  // the PicSimulation constructor to clients over this job's lease.
-  for (std::size_t I = 0; I < Batch.size(); ++I) {
-    Job *J = Batch[I];
-    ActiveJob A;
-    A.J = J;
-    A.Lease = Leases[I];
-    {
-      BackendPool::BindGuard Guard(Pool, A.Lease);
-      A.Sim = makeSimulation(J->Spec, "pool");
-    }
-    if (!Config.StateDir.empty()) {
-      const std::string Ckpt = checkpointPath(J->Spec.Name);
-      if (fileExists(Ckpt)) {
-        std::string Error;
-        if (!A.Sim->restoreState(Ckpt, &Error)) {
-          finalize(*J, JobState::Failed, 0, std::move(Error));
-          Pool.release(A.Lease);
-          continue;
-        }
-        // The checkpoint's own step index is the truth (crash-safe
-        // against a manifest that lagged the last checkpoint write).
-        J->StepsDone = A.Sim->stepCount();
-      }
-    }
-    Active.push_back(std::move(A));
+void Scheduler::runJob(Job &J, LaneLease Lease) {
+  // Build (or restore) the job's simulation on its leased lane slice.
+  // The BindGuard routes the createBackend("pool") calls inside the
+  // PicSimulation constructor to clients over this job's lease.
+  std::unique_ptr<Simulation> Sim;
+  {
+    BackendPool::BindGuard Guard(Pool, Lease);
+    Sim = makeSimulation(J.Spec, "pool");
   }
-
-  long long QuantumLeft =
-      Config.QuantumSteps > 0 ? Config.QuantumSteps : -1;
-
-  while (!Active.empty() && QuantumLeft != 0) {
-    // Cancellation takes effect here, at a round boundary: every
-    // launch of the previous round has been waited, so dropping the
-    // simulation leaves nothing in flight on the leased lanes.
-    for (auto It = Active.begin(); It != Active.end();) {
-      bool Cancelled;
-      {
-        std::lock_guard<std::mutex> Lock(Mutex);
-        Cancelled = It->J->CancelRequested;
-      }
-      if (Cancelled) {
-        finalize(*It->J, JobState::Cancelled, 0, {});
-        Pool.release(It->Lease);
-        It = Active.erase(It);
-      } else {
-        ++It;
-      }
-    }
-    if (Active.empty())
-      break;
-
-    // One round = one step of every active job. When every job's
-    // captured graph is valid, issue all jobs' steps back to back and
-    // only then finish them — the cross-job fused launch round (each
-    // job's DAG replays onto its own disjoint lanes, so the rounds
-    // overlap without sharing any lane). Otherwise (capture steps,
-    // invalidations, classic mode) step each job synchronously.
-    bool AllAsync = Active.size() > 1;
-    for (const ActiveJob &A : Active)
-      AllAsync = AllAsync && A.Sim->canSubmitStepAsync();
-    if (AllAsync) {
-      for (const ActiveJob &A : Active)
-        A.Sim->submitStepAsync();
-      for (const ActiveJob &A : Active)
-        A.Sim->finishStepAsync();
-      std::lock_guard<std::mutex> Lock(Mutex);
-      ++FusedRoundsDone;
-    } else {
-      for (const ActiveJob &A : Active)
-        A.Sim->step();
-    }
-
-    for (auto It = Active.begin(); It != Active.end();) {
-      Job &J = *It->J;
-      {
-        std::lock_guard<std::mutex> Lock(Mutex);
-        J.StepsDone = It->Sim->stepCount();
-      }
-      if (J.Spec.EnergyEvery > 0 && J.StepsDone % J.Spec.EnergyEvery == 0 &&
-          Config.Verbose)
-        std::printf("[diag] job=%s tenant=%s step=%d t=%.3f E=%.6e\n",
-                    J.Spec.Name.c_str(), J.Spec.Tenant.c_str(), J.StepsDone,
-                    double(It->Sim->time()), It->Sim->fieldEnergy());
-      if (J.StepsDone >= J.Spec.Steps) {
-        const std::uint64_t Hash = stateHash(*It->Sim);
-        if (!Config.StateDir.empty())
-          std::remove(checkpointPath(J.Spec.Name).c_str());
-        finalize(J, JobState::Completed, Hash, {});
-        Pool.release(It->Lease);
-        It = Active.erase(It);
-        continue;
-      }
-      if (Config.CheckpointEvery > 0 && !Config.StateDir.empty() &&
-          J.StepsDone % Config.CheckpointEvery == 0) {
-        const std::string Ckpt = checkpointPath(J.Spec.Name);
-        std::string Error;
-        // tmp + rename: a crash mid-write never corrupts the previous
-        // good checkpoint.
-        if (It->Sim->saveState(Ckpt + ".tmp", &Error) &&
-            std::rename((Ckpt + ".tmp").c_str(), Ckpt.c_str()) == 0) {
-          // checkpointed; nothing else to do
-        } else {
-          finalize(J, JobState::Failed, 0, std::move(Error));
-          Pool.release(It->Lease);
-          It = Active.erase(It);
-          continue;
-        }
-      }
-      ++It;
-    }
-    if (QuantumLeft > 0)
-      --QuantumLeft;
-  }
-
-  // Quantum expired with jobs unfinished: checkpoint, requeue at the
-  // BACK (newly arrived short jobs get their turn before this long job
-  // continues — the anti-starvation rotation), free the lanes.
-  for (ActiveJob &A : Active) {
-    Job &J = *A.J;
-    if (!Config.StateDir.empty()) {
-      const std::string Ckpt = checkpointPath(J.Spec.Name);
+  if (!Config.StateDir.empty()) {
+    const std::string Ckpt = checkpointPath(J.Spec.Name);
+    if (fileExists(Ckpt)) {
       std::string Error;
-      if (!(A.Sim->saveState(Ckpt + ".tmp", &Error) &&
-            std::rename((Ckpt + ".tmp").c_str(), Ckpt.c_str()) == 0)) {
+      if (!Sim->restoreState(Ckpt, &Error)) {
         finalize(J, JobState::Failed, 0, std::move(Error));
-        Pool.release(A.Lease);
-        continue;
+        return;
       }
+      // The checkpoint's own step index is the truth (crash-safe
+      // against a manifest that lagged the last checkpoint write).
+      J.StepsDone = Sim->stepCount();
     }
+  }
+
+  for (int Stepped = 0;
+       Config.QuantumSteps <= 0 || Stepped < Config.QuantumSteps; ++Stepped) {
+    // Cancellation takes effect here, at a step boundary: step() has
+    // waited every launch, so dropping the simulation and releasing the
+    // lease leave nothing in flight on the leased lanes.
+    bool Cancelled;
     {
       std::lock_guard<std::mutex> Lock(Mutex);
-      J.State = JobState::Suspended;
-      Pending.push_back(&J);
-      if (Config.Verbose)
-        std::printf("[quantum] job=%s tenant=%s suspended at step %d/%d\n",
-                    J.Spec.Name.c_str(), J.Spec.Tenant.c_str(), J.StepsDone,
-                    J.Spec.Steps);
-      writeManifestLocked();
+      Cancelled = J.CancelRequested;
     }
-    Pool.release(A.Lease);
-    QueueCV.notify_all();
+    if (Cancelled) {
+      finalize(J, JobState::Cancelled, 0, {});
+      return;
+    }
+
+    Sim->step();
+    {
+      std::lock_guard<std::mutex> Lock(Mutex);
+      J.StepsDone = Sim->stepCount();
+    }
+    if (J.Spec.EnergyEvery > 0 && J.StepsDone % J.Spec.EnergyEvery == 0 &&
+        Config.Verbose)
+      std::printf("[diag] job=%s tenant=%s step=%d t=%.3f E=%.6e\n",
+                  J.Spec.Name.c_str(), J.Spec.Tenant.c_str(), J.StepsDone,
+                  double(Sim->time()), Sim->fieldEnergy());
+    if (J.StepsDone >= J.Spec.Steps) {
+      const std::uint64_t Hash = stateHash(*Sim);
+      if (!Config.StateDir.empty())
+        std::remove(checkpointPath(J.Spec.Name).c_str());
+      finalize(J, JobState::Completed, Hash, {});
+      return;
+    }
+    if (Config.CheckpointEvery > 0 && !Config.StateDir.empty() &&
+        J.StepsDone % Config.CheckpointEvery == 0 &&
+        !saveCheckpoint(J, *Sim))
+      return;
   }
-  // Without a StateDir a suspended job restarts from step 0 next
-  // quantum — still correct (deterministic), just wasteful; the tool
-  // always configures a StateDir when quanta are enabled.
+
+  // Quantum expired with the job unfinished: checkpoint, requeue at the
+  // BACK (newly arrived short jobs get their turn before this long job
+  // continues — the anti-starvation rotation). Without
+  // a StateDir the job restarts from step 0 next quantum — still
+  // correct (deterministic), just wasteful; the tool always configures
+  // a StateDir when quanta are enabled.
+  if (!Config.StateDir.empty() && !saveCheckpoint(J, *Sim))
+    return;
+  {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    J.State = JobState::Suspended;
+    Pending.push_back(&J);
+    if (Config.Verbose)
+      std::printf("[quantum] job=%s tenant=%s suspended at step %d/%d\n",
+                  J.Spec.Name.c_str(), J.Spec.Tenant.c_str(), J.StepsDone,
+                  J.Spec.Steps);
+    writeManifestLocked();
+  }
+  QueueCV.notify_all();
 }
 
 void Scheduler::finalize(Job &J, JobState State, std::uint64_t Hash,

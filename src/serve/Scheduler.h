@@ -7,39 +7,33 @@
 /// \file
 /// The serving layer's job queue and scheduler: many simulation jobs
 /// (serve/JobSpec.h) run concurrently over ONE shared BackendPool, each
-/// on its own leased lane slice, with cross-job batching, round-robin
-/// quanta, per-job checkpointing and cancellation:
+/// on its own leased lane slice, with round-robin quanta, per-job
+/// checkpointing and cancellation:
 ///
 ///   * **Queue + workers** — jobs are FIFO; each scheduler worker
-///     claims the oldest pending job plus up to BatchMax - 1 more with
-///     the same batch key (scenario/solver/step-structure), leases one
-///     pool slot per job atomically, and drives the whole batch.
-///   * **Cross-job batching** — when every batched job's captured step
-///     graph is valid, a round issues ALL jobs' steps back to back
-///     (PicSimulation::submitStepAsync — StepGraph::replayNoWait on
-///     each job's disjoint lanes) before finishing any: the jobs' steps
-///     genuinely overlap as one fused launch round over the shared
-///     pool, extending PR 6's step-graph replay across job boundaries
-///     with only per-job ParamBlocks rebound.
-///   * **Quanta + suspend/resume** — with QuantumSteps > 0 a batch
-///     runs at most that many steps, then every unfinished job is
-///     checkpointed (core/Checkpoint.h v2: particles, fields, step
-///     index, time), destroyed, and requeued at the back — long jobs
-///     cannot starve short ones. A requeued (or crash-recovered) job
-///     restores from its checkpoint file and continues bit-identically:
-///     the checkpoint's own step index is the truth, so a run killed
+///     claims the oldest pending job, leases one pool slot for it, and
+///     drives it with PicSimulation::step() (which replays the job's
+///     captured step graph on its own lanes). Concurrency is the number
+///     of workers: each worker holds exactly one job at a time.
+///   * **Quanta + suspend/resume** — with QuantumSteps > 0 a job runs
+///     at most that many steps per claim, then is checkpointed
+///     (core/Checkpoint.h v3: particles, fields, step index, time),
+///     destroyed, and requeued at the back — long jobs cannot starve
+///     short ones. A requeued (or crash-recovered) job restores from
+///     its checkpoint file and continues bit-identically: the
+///     checkpoint's own step index is the truth, so a run killed
 ///     between manifest writes still resumes correctly.
-///   * **Lifecycle** — cancel() takes effect at the next round
-///     boundary (no in-flight work is left behind; the lease returns
-///     to the pool); MaxQuanta stops the whole scheduler after N
-///     quanta (the crash-injection hook the recovery tests and
-///     --exit-after-quanta use); a JSON manifest in StateDir records
-///     every job's state and final hash for resume tooling.
+///   * **Lifecycle** — cancel() takes effect at the next step boundary
+///     (no in-flight work is left behind; the lease returns to the
+///     pool); MaxQuanta stops the whole scheduler after N quanta (the
+///     crash-injection hook the recovery tests and --exit-after-quanta
+///     use); a JSON manifest in StateDir records every job's state and
+///     final hash for resume tooling.
 ///
 /// Bit-identity: each job's final picStateHash equals a standalone
-/// serial run of the same spec — regardless of batch composition,
-/// quantum length, worker count, or how many suspend/resume cycles the
-/// job lived through (tests/serve/).
+/// serial run of the same spec — regardless of quantum length, worker
+/// count, or how many suspend/resume cycles the job lived through
+/// (tests/serve/).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -69,7 +63,7 @@ enum class JobState {
   Running,   ///< claimed by a worker
   Suspended, ///< checkpointed mid-run; scheduler stopped before requeue ran it
   Completed, ///< all steps done, hash recorded
-  Cancelled, ///< cancel() honoured at a round boundary
+  Cancelled, ///< cancel() honoured at a step boundary
   Failed,    ///< backend/checkpoint error (see JobResult::Error)
 };
 
@@ -77,8 +71,7 @@ const char *jobStateName(JobState State);
 
 /// Scheduler knobs.
 struct ServeConfig {
-  int Workers = 2;        ///< scheduler worker threads
-  int BatchMax = 2;       ///< max jobs fused into one batch
+  int Workers = 2;        ///< scheduler worker threads (one job each)
   int QuantumSteps = 0;   ///< steps per scheduling quantum (0 = to completion)
   int CheckpointEvery = 0;///< also checkpoint every N steps mid-quantum
   std::string StateDir;   ///< checkpoints + manifest.json ("" = stateless)
@@ -112,7 +105,7 @@ public:
   void noteCompleted(const JobSpec &Spec, std::uint64_t Hash);
 
   /// Requests cancellation. Pending jobs cancel immediately; running
-  /// jobs at their next round boundary. \returns false for unknown or
+  /// jobs at their next step boundary. \returns false for unknown or
   /// already-terminal jobs.
   bool cancel(const std::string &Name);
 
@@ -127,11 +120,9 @@ public:
   /// entries). Call after run().
   std::vector<JobResult> results() const;
 
-  /// Batch-quanta executed (a batch running to completion counts 1).
+  /// Job quanta executed (a job running to completion in one claim
+  /// counts 1).
   long long quantaExecuted() const;
-
-  /// Rounds that issued >= 2 jobs' steps as one fused launch round.
-  long long fusedRounds() const;
 
   /// The checkpoint file of job \p Name under the configured StateDir.
   std::string checkpointPath(const std::string &Name) const;
@@ -151,14 +142,13 @@ private:
     bool CancelRequested = false;
   };
 
-  struct ActiveJob {
-    Job *J = nullptr;
-    LaneLease Lease;
-    std::unique_ptr<Simulation> Sim;
-  };
-
   void workerLoop();
-  void runBatch(std::vector<Job *> &Batch, std::vector<LaneLease> &Leases);
+  /// Drives \p J on \p Lease for one quantum, or to a terminal state.
+  /// The caller releases the lease afterwards.
+  void runJob(Job &J, LaneLease Lease);
+  /// Writes \p J's checkpoint (tmp + rename). On failure finalizes the
+  /// job as Failed and \returns false.
+  bool saveCheckpoint(Job &J, Simulation &Sim);
   /// Moves \p J to terminal \p State under the lock; records the
   /// result, streams the line, updates the manifest.
   void finalize(Job &J, JobState State, std::uint64_t Hash,
@@ -174,9 +164,8 @@ private:
   std::unordered_map<std::string, Job *> ByName;
   std::deque<Job *> Pending;
   std::vector<JobResult> Results;
-  int RunningBatches = 0;
+  int RunningJobs = 0;
   long long QuantaDone = 0;
-  long long FusedRoundsDone = 0;
   bool Stopping = false;
 };
 

@@ -19,6 +19,8 @@
 #define HICHI_SUPPORT_JSON_H
 
 #include <cctype>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -60,9 +62,25 @@ struct Value {
     const Value *V = find(Name);
     return V && V->K == Number ? V->Num : Default;
   }
-  long long intOr(const std::string &Name, long long Default) const {
+  /// Integer member into \p Out, whose current value is the default
+  /// (kept when the member is absent or not a number). A number with a
+  /// fraction or outside int's range is refused — \returns false with a
+  /// one-line reason naming the member in \p Error — rather than
+  /// truncated or wrapped (4294967312 must not become 16, and 1e99 must
+  /// not reach an out-of-range float-to-int conversion).
+  bool readInt(const std::string &Name, int &Out, std::string *Error) const {
     const Value *V = find(Name);
-    return V && V->K == Number ? (long long)(V->Num) : Default;
+    if (!V || V->K != Number)
+      return true;
+    // NaN fails both comparisons, an infinity one of them.
+    if (V->Num >= double(INT_MIN) && V->Num <= double(INT_MAX) &&
+        V->Num == std::floor(V->Num)) {
+      Out = int(V->Num);
+      return true;
+    }
+    if (Error)
+      *Error = "\"" + Name + "\" must be an integer within int range";
+    return false;
   }
   std::string stringOr(const std::string &Name,
                        const std::string &Default) const {

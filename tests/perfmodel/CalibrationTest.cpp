@@ -9,7 +9,8 @@
 /// bit-identically (the %.17g promise), tier lookup picks the right
 /// working-set point, CpuMachine::fromProfile maps the measured figures
 /// onto the roofline descriptor, a bounded real measurement produces
-/// a sane profile, and a truncated profile file is refused cleanly.
+/// a sane profile, and a truncated profile file or a non-integer count
+/// is refused cleanly.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -102,6 +103,29 @@ TEST(CalibrationTest, EveryTruncationFailsCleanly) {
   std::remove(Path.c_str());
 }
 
+/// Hostile input: an integer field holding a fraction or a value outside
+/// int is refused with a one-line error naming the field — never
+/// truncated (16.7 -> 16), wrapped (4294967312 -> 16) or cast out of
+/// range (1e99).
+TEST(CalibrationTest, NonIntegerOrOutOfRangeIntFieldsAreRefused) {
+  for (const char *Field : {"threads", "numa_domains"})
+    for (const char *Value : {"16.7", "4294967312", "1e99", "-1e99"}) {
+      const std::string Doc =
+          std::string(R"({"schema": "hichi-machine-v1", ")") + Field +
+          "\": " + Value + "}";
+      SCOPED_TRACE(Doc);
+      json::Value Parsed;
+      std::string Error;
+      ASSERT_TRUE(json::parse(Doc, Parsed, &Error)) << Error;
+      MachineProfile Out;
+      EXPECT_FALSE(Calibration::fromJson(Parsed, Out, &Error));
+      EXPECT_NE(Error.find(std::string("\"") + Field + "\""),
+                std::string::npos)
+          << Error;
+      EXPECT_EQ(Error.find('\n'), std::string::npos) << Error;
+    }
+}
+
 TEST(CalibrationTest, FromJsonRejectsWrongSchema) {
   json::Value Doc;
   std::string Error;
@@ -181,8 +205,9 @@ TEST(CalibrationTest, StagePredictionsScaleUntilBandwidthSaturates) {
   // 12 GB/s would be 48 GB/s, but the synthetic socket delivers 20.
   const double SocketBw = M.LocalBandwidthPerSocket;
   const double FourCoreBw = 4.0 * M.PerCoreBandwidth;
-  if (FourCoreBw > SocketBw)
+  if (FourCoreBw > SocketBw) {
     EXPECT_GT(Four.MemoryNs, One.MemoryNs / 4.0);
+  }
 }
 
 TEST(CalibrationTest, SaturatedFmaBelowSevenTenthsOfIdealIsImplausible) {

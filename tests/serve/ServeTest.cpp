@@ -6,19 +6,21 @@
 //
 // The serving layer's four contracts:
 //
-//   * bit-identity — every job served over the shared pool (batched,
-//     fused, multi-worker) hashes identically to a standalone serial
-//     run of the same spec;
+//   * bit-identity — every job served over the shared pool (several
+//     workers, each driving one job on its own slot) hashes identically
+//     to a standalone serial run of the same spec;
 //   * fairness — quantum rotation lets short jobs complete before a
 //     long head-of-queue job monopolizes the pool;
-//   * cancellation — a cancelled job stops at a round boundary and its
+//   * cancellation — a cancelled job stops at a step boundary and its
 //     lanes return to the pool, which stays fully usable;
 //   * crash recovery — a scheduler killed mid-run (MaxQuanta) leaves
 //     checkpoints from which a FRESH scheduler resumes every unfinished
 //     job to the same final hash.
 //
 // Around them, job-spec parsing: well-formed documents parse, and a
-// job-spec file cut anywhere is refused with a one-line error.
+// job-spec file cut anywhere, flipped at any bit, or holding an integer
+// field that is fractional or out of int range is refused with a
+// one-line error (or, for a flip, loads only valid specs).
 //
 //===----------------------------------------------------------------------===//
 
@@ -63,11 +65,10 @@ std::map<std::string, JobResult> resultsByName(const Scheduler &Sched) {
   return Out;
 }
 
-TEST(ServeTest, ServedMatchesStandaloneAcrossTenantsAndBatches) {
+TEST(ServeTest, ServedMatchesStandaloneAcrossTenantsAndWorkers) {
   BackendPool Pool(/*TotalLanes=*/8, /*LanesPerJob=*/2);
   ServeConfig Config;
-  Config.Workers = 2;
-  Config.BatchMax = 2;
+  Config.Workers = 4; // one job per worker: all 4 slots busy at once
   Scheduler Sched(Pool, Config);
 
   const std::vector<JobSpec> Specs = syntheticJobMix(8, /*Tenants=*/2);
@@ -84,9 +85,6 @@ TEST(ServeTest, ServedMatchesStandaloneAcrossTenantsAndBatches) {
     EXPECT_EQ(R.Hash, runStandalone(Spec))
         << Spec.Name << " diverged from its standalone serial run";
   }
-  // The mix is homogeneous in batch key, so with BatchMax=2 at least
-  // some rounds must have issued two jobs' steps as one fused round.
-  EXPECT_GT(Sched.fusedRounds(), 0);
   EXPECT_EQ(Pool.freeSlots(), Pool.slotCount());
 }
 
@@ -94,8 +92,7 @@ TEST(ServeTest, QuantumRotationLetsShortJobsFinishFirst) {
   const std::string StateDir = makeStateDir("serve_fairness");
   BackendPool Pool(/*TotalLanes=*/4, /*LanesPerJob=*/2);
   ServeConfig Config;
-  Config.Workers = 1;  // deterministic ordering: one worker, no batching
-  Config.BatchMax = 1;
+  Config.Workers = 1;  // deterministic ordering: one worker
   Config.QuantumSteps = 8;
   Config.StateDir = StateDir;
   Scheduler Sched(Pool, Config);
@@ -126,7 +123,6 @@ TEST(ServeTest, CancellationMidRunLeavesPoolReusable) {
   BackendPool Pool(/*TotalLanes=*/4, /*LanesPerJob=*/2);
   ServeConfig Config;
   Config.Workers = 1;
-  Config.BatchMax = 1;
   Config.QuantumSteps = 4;
   Config.StateDir = StateDir;
   Scheduler Sched(Pool, Config);
@@ -172,7 +168,6 @@ TEST(ServeTest, CrashRecoveryResumesToBitIdenticalHashes) {
 
   ServeConfig Crashing;
   Crashing.Workers = 1;
-  Crashing.BatchMax = 1;
   Crashing.QuantumSteps = 6;
   Crashing.StateDir = StateDir;
   Crashing.MaxQuanta = 2; // "kill" the scheduler after two quanta
@@ -231,7 +226,6 @@ TEST(ServeTest, JobSpecJsonParsing) {
   EXPECT_EQ(Specs[0].Steps, 10);
   EXPECT_EQ(Specs[1].Solver, "spectral");
   EXPECT_FALSE(Specs[1].UseGraph);
-  EXPECT_NE(batchKey(Specs[0]), batchKey(Specs[1]));
 
   ASSERT_TRUE(
       json::parse(R"([{"name": "dup"}, {"name": "dup"}])", Doc, &Error));
@@ -241,23 +235,31 @@ TEST(ServeTest, JobSpecJsonParsing) {
   EXPECT_FALSE(Error.empty());
 }
 
-/// Hostile input: a job-spec file cut at every byte offset before its
-/// closing brace is refused with a one-line error and never crashes (the
-/// serve target runs under HICHI_SANITIZE=address,undefined).
-TEST(ServeTest, EveryJobSpecTruncationFailsCleanly) {
-  const std::string Text = R"({"jobs": [
+/// The spec file the hostile-input tables below start from.
+const char *const SpecText = R"({"jobs": [
   {"name": "a", "tenant": "t1", "nx": 24, "steps": 10, "amplitude": 0.05},
   {"name": "b", "solver": "spectral", "graph": false, "sort_every": 7}
 ]}
 )";
+
+/// Writes \p Bytes to \p Path.
+void writeFile(const std::string &Path, const std::string &Bytes) {
+  std::FILE *File = std::fopen(Path.c_str(), "wb");
+  ASSERT_NE(File, nullptr);
+  ASSERT_EQ(std::fwrite(Bytes.data(), 1, Bytes.size(), File), Bytes.size());
+  std::fclose(File);
+}
+
+/// Hostile input: a job-spec file cut at every byte offset before its
+/// closing brace is refused with a one-line error and never crashes (the
+/// serve target runs under HICHI_SANITIZE=address,undefined).
+TEST(ServeTest, EveryJobSpecTruncationFailsCleanly) {
+  const std::string Text = SpecText;
   const std::size_t Close = Text.rfind('}');
   const std::string Path = testing::TempDir() + "hichi_jobs_cut.json";
   for (std::size_t Size = 0; Size <= Text.size(); ++Size) {
     SCOPED_TRACE("cut to " + std::to_string(Size) + " bytes");
-    std::FILE *File = std::fopen(Path.c_str(), "wb");
-    ASSERT_NE(File, nullptr);
-    ASSERT_EQ(std::fwrite(Text.data(), 1, Size, File), Size);
-    std::fclose(File);
+    writeFile(Path, Text.substr(0, Size));
     std::vector<JobSpec> Specs;
     std::string Error;
     const bool Loaded = loadJobSpecs(Path, Specs, &Error);
@@ -271,6 +273,63 @@ TEST(ServeTest, EveryJobSpecTruncationFailsCleanly) {
     EXPECT_EQ(Error.find('\n'), std::string::npos) << Error;
   }
   std::remove(Path.c_str());
+}
+
+/// Hostile input: the same file with one byte flipped (XOR 0x01 and XOR
+/// 0x80, at every offset) is either refused with a one-line error or
+/// loads specs that pass validateJobSpec.
+TEST(ServeTest, EveryJobSpecBitFlipFailsCleanlyOrLoadsValidSpecs) {
+  const std::string Text = SpecText;
+  const std::string Path = testing::TempDir() + "hichi_jobs_flip.json";
+  for (std::size_t Offset = 0; Offset < Text.size(); ++Offset) {
+    for (unsigned char Mask : {0x01, 0x80}) {
+      SCOPED_TRACE("byte " + std::to_string(Offset) + " xor " +
+                   std::to_string(Mask));
+      std::string Mutant = Text;
+      Mutant[Offset] = char((unsigned char)Mutant[Offset] ^ Mask);
+      writeFile(Path, Mutant);
+      std::vector<JobSpec> Specs;
+      std::string Error;
+      if (!loadJobSpecs(Path, Specs, &Error)) {
+        EXPECT_FALSE(Error.empty());
+        EXPECT_EQ(Error.find('\n'), std::string::npos) << Error;
+        continue;
+      }
+      EXPECT_FALSE(Specs.empty());
+      for (const JobSpec &Spec : Specs)
+        EXPECT_TRUE(validateJobSpec(Spec, &Error)) << Error;
+    }
+  }
+  std::remove(Path.c_str());
+}
+
+/// Hostile input: an integer field holding a fraction or a value outside
+/// int is refused with a one-line error naming the field — never
+/// truncated (16.7 -> 16), wrapped (4294967312 -> 16) or cast out of
+/// range (1e99).
+TEST(ServeTest, NonIntegerOrOutOfRangeIntFieldsAreRefused) {
+  for (const char *Field : {"nx", "ny", "nz", "per_cell", "steps",
+                            "sort_every", "energy_every"})
+    for (const char *Value : {"16.7", "4294967312", "1e99", "-1e99"}) {
+      // A small valid spec with \p Field replaced by the hostile value.
+      std::map<std::string, std::string> Members = {
+          {"nx", "4"}, {"steps", "4"}, {"per_cell", "1"}};
+      Members[Field] = Value;
+      std::string Doc = R"([{"name": "a")";
+      for (const auto &M : Members)
+        Doc += ", \"" + M.first + "\": " + M.second;
+      Doc += "}]";
+      SCOPED_TRACE(Doc);
+      json::Value Parsed;
+      std::string Error;
+      ASSERT_TRUE(json::parse(Doc, Parsed, &Error)) << Error;
+      std::vector<JobSpec> Specs;
+      EXPECT_FALSE(parseJobSpecs(Parsed, Specs, &Error));
+      EXPECT_NE(Error.find(std::string("\"") + Field + "\""),
+                std::string::npos)
+          << Error;
+      EXPECT_EQ(Error.find('\n'), std::string::npos) << Error;
+    }
 }
 
 } // namespace

@@ -145,8 +145,12 @@ int runBenchmark(const Config &Cfg) {
   RunOnce(); // warmup (JIT + first touch)
   double TotalNs = 0;
   for (int It = 0; It < Cfg.Iterations; ++It) {
+    // CPU rows time the whole call: RunStats::HostNs sums kernel time
+    // over lanes on multi-lane asynchronous backends, not elapsed time.
+    Stopwatch Watch;
     RunStats Stats = RunOnce();
-    double IterNs = Dev.is_gpu() ? Stats.ModeledNs : Stats.HostNs;
+    double IterNs =
+        Dev.is_gpu() ? Stats.ModeledNs : double(Watch.elapsedNanoseconds());
     TotalNs += IterNs;
     std::printf("iteration %d: %.2f ms\n", It, IterNs / 1e6);
   }

@@ -7,8 +7,8 @@
 /// \file
 /// The serving-layer CLI: runs a stream of simulation jobs (a JSON
 /// job-spec file, or the deterministic synthetic mix) over one shared
-/// execution pool with cross-job batching, round-robin quanta and
-/// checkpoint-based suspend/resume (src/serve/). Prints streamed
+/// execution pool — one job per scheduler worker — with round-robin
+/// quanta and checkpoint-based suspend/resume (src/serve/). Prints streamed
 /// per-job completions, a throughput/latency summary, and optionally
 /// verifies served hashes against standalone serial reruns:
 ///
@@ -73,19 +73,19 @@ bool loadManifest(const std::string &StateDir,
 
 int main(int Argc, char **Argv) {
   ArgParser Args("hichi_serve: multi-tenant simulation job runner — many "
-                 "PIC jobs over one shared backend pool with cross-job "
-                 "batching, scheduling quanta and checkpointed "
-                 "suspend/resume");
+                 "PIC jobs over one shared backend pool with scheduling "
+                 "quanta and checkpointed suspend/resume");
   Args.addOption("jobs", "JSON job-spec file (see docs/ARCHITECTURE.md)", "");
   Args.addOption("synthetic",
                  "generate this many synthetic mixed-size jobs instead of "
                  "reading --jobs",
                  "24");
   Args.addOption("tenants", "tenants of the synthetic mix", "2");
-  Args.addOption("workers", "scheduler worker threads", "2");
+  Args.addOption("workers",
+                 "scheduler worker threads (each drives one job at a time)",
+                 "2");
   Args.addOption("pool-lanes", "total lanes of the shared backend pool", "8");
   Args.addOption("lanes-per-job", "lanes leased to each running job", "2");
-  Args.addOption("batch", "max jobs fused into one batch", "2");
   Args.addOption("quantum",
                  "steps per scheduling quantum (0 = run each job to "
                  "completion)",
@@ -99,7 +99,7 @@ int main(int Argc, char **Argv) {
                  "suspend/resume; \"\" = stateless)",
                  "");
   Args.addOption("exit-after-quanta",
-                 "stop the scheduler after N batch-quanta (crash injection "
+                 "stop the scheduler after N job quanta (crash injection "
                  "for recovery testing; -1 = off). Exits with code 3 when "
                  "work remains",
                  "-1");
@@ -142,7 +142,6 @@ int main(int Argc, char **Argv) {
 
   ServeConfig Config;
   Config.Workers = int(Args.getInt("workers").value_or(2));
-  Config.BatchMax = int(Args.getInt("batch").value_or(2));
   Config.QuantumSteps = int(Args.getInt("quantum").value_or(0));
   Config.CheckpointEvery = int(Args.getInt("checkpoint-every").value_or(0));
   Config.StateDir = Args.getString("state-dir");
@@ -185,11 +184,9 @@ int main(int Argc, char **Argv) {
   }
 
   std::printf("hichi_serve: %zu jobs (%d already complete), pool of %d "
-              "lanes (%d slots x %d lanes), %d workers, batch %d, "
-              "quantum %s\n\n",
+              "lanes (%d slots x %d lanes), %d workers, quantum %s\n\n",
               Specs.size(), ResumedComplete, Pool.laneCount(),
               Pool.slotCount(), Pool.lanesPerJob(), Config.Workers,
-              Config.BatchMax,
               Config.QuantumSteps > 0
                   ? (std::to_string(Config.QuantumSteps) + " steps").c_str()
                   : "off");
@@ -217,9 +214,9 @@ int main(int Argc, char **Argv) {
   }
   const int FreshCompleted = Completed - ResumedComplete;
   std::printf("\n%d/%zu jobs completed (%d cancelled, %d failed), "
-              "%lld quanta, %lld fused rounds, %.2f s wall\n",
+              "%lld quanta, %.2f s wall\n",
               Completed, Specs.size(), Cancelled, Failed,
-              Sched.quantaExecuted(), Sched.fusedRounds(), WallNs / 1e9);
+              Sched.quantaExecuted(), WallNs / 1e9);
   for (const auto &Tenant : PerTenant)
     std::printf("  tenant %-12s %d jobs\n", Tenant.first.c_str(),
                 Tenant.second);
