@@ -7,20 +7,22 @@
 /// \file
 /// google-benchmark micro-benchmarks of the individual kernels: the three
 /// pushers over both layouts and precisions, the m-dipole field
-/// evaluation, grid interpolation, Esirkepov deposition and the particle
-/// sort. These are the per-kernel numbers behind the scenario-level NSPS
-/// tables.
+/// evaluation, grid interpolation, the PIC step's SIMD lane kernels
+/// (stage 1 and the Esirkepov deposit, baseline and AVX-512 paths) and
+/// the particle sort. These are the per-kernel numbers behind the
+/// scenario-level NSPS tables.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "core/BatchPusher.h"
 #include "core/Core.h"
 #include "exec/BackendRegistry.h"
 #include "fields/DipoleWave.h"
 #include "fields/FieldGrid.h"
 #include "pic/CurrentDeposition.h"
 #include "pic/FieldInterpolator.h"
+#include "pic/LaneKernels.h"
 #include "pic/ParticleSorter.h"
+#include "pic/TiledCurrentAccumulator.h"
 
 #include <benchmark/benchmark.h>
 
@@ -84,27 +86,6 @@ BENCHMARK(BM_Boris_SoA_float);
 BENCHMARK(BM_Boris_SoA_double);
 BENCHMARK(BM_Vay_AoS_double);
 BENCHMARK(BM_HigueraCary_AoS_double);
-
-/// The explicitly vectorizable batch kernel vs the per-particle proxy
-/// loop (same arithmetic; measures what the proxy abstraction costs the
-/// auto-vectorizer).
-template <typename Real> void batchBody(benchmark::State &State) {
-  ParticleArraySoA<Real> Particles =
-      makeEnsemble<ParticleArraySoA<Real>>();
-  auto Types = ParticleTypeTable<Real>::natural();
-  const FieldSample<Real> F{{Real(0.1), 0, 0}, {0, 0, Real(1)}};
-  auto View = Particles.view();
-  for (auto _ : State) {
-    borisPushBatchSoA(View, 0, MicroN, Types[PS_Electron], F, Real(0.01),
-                      Real(1));
-    benchmark::ClobberMemory();
-  }
-  State.SetItemsProcessed(State.iterations() * MicroN);
-}
-void BM_BorisBatch_SoA_float(benchmark::State &S) { batchBody<float>(S); }
-void BM_BorisBatch_SoA_double(benchmark::State &S) { batchBody<double>(S); }
-BENCHMARK(BM_BorisBatch_SoA_float);
-BENCHMARK(BM_BorisBatch_SoA_double);
 
 //===----------------------------------------------------------------------===//
 // Field evaluation
@@ -175,22 +156,90 @@ BENCHMARK(BM_YeeInterpolationCic);
 // Deposition and sorting
 //===----------------------------------------------------------------------===//
 
-void BM_EsirkepovDeposition(benchmark::State &State) {
+/// The lane paths of pic/LaneKernels.h: the baseline instantiation
+/// (forced through its test hook) and AVX-512 where the CPU has it.
+const char *const LanePaths[] = {"baseline", "avx512"};
+
+/// Runs \p Body with \p Path's lane kernels, or skips it on a CPU
+/// without AVX-512.
+template <typename BodyFn>
+void onLanePath(benchmark::State &State, const std::string &Path,
+                BodyFn &&Body) {
+  const bool Avx512 = Path == "avx512";
+  if (Avx512 && !pic::hostHasAvx512Lanes()) {
+    State.SkipWithError("this CPU has no AVX-512 F/DQ/VL");
+    return;
+  }
+  pic::detail::forceBaselineLanes(!Avx512);
+  Body();
+  pic::detail::forceBaselineLanes(false);
+}
+
+/// Stage 1 of the PIC step (CIC gather, Boris push, wrap) over a cold
+/// ensemble in random fields, in lane blocks.
+void lanePushBody(benchmark::State &State, const std::string &Path) {
+  pic::YeeGrid<double> Grid({16, 16, 16}, {0, 0, 0}, {1, 1, 1});
+  RandomStream<double> Rng(5);
+  for (auto *L : {&Grid.Ex, &Grid.Ey, &Grid.Ez, &Grid.Bx, &Grid.By, &Grid.Bz})
+    for (double &V : L->raw())
+      V = Rng.uniform(-0.1, 0.1);
+  ParticleArrayAoS<double> Particles(MicroN);
+  initializeRandomEnsemble(Particles, MicroN,
+                           ParticleTypeTable<double>::natural(),
+                           Vector3<double>(8, 8, 8), 8.0, 0.1, 1.0,
+                           PS_Electron);
+  auto Types = ParticleTypeTable<double>::natural();
+  std::vector<Vector3<double>> OldPos(MicroN), NewPos(MicroN);
+  onLanePath(State, Path, [&] {
+    for (auto _ : State) {
+      pic::pushParticlesInLanes(Particles.view(), 0, MicroN, Grid,
+                                Types.data(), 0.1, 1.0, OldPos.data(),
+                                NewPos.data());
+      benchmark::ClobberMemory();
+    }
+  });
+  State.SetItemsProcessed(State.iterations() * MicroN);
+}
+
+/// The Esirkepov scatter in lane blocks, added through the production
+/// sink over the whole grid.
+void laneEsirkepovBody(benchmark::State &State, const std::string &Path) {
   pic::YeeGrid<double> Grid({16, 16, 16}, {0, 0, 0}, {1, 1, 1});
   RandomStream<double> Rng(6);
-  std::vector<std::pair<Vector3<double>, Vector3<double>>> Moves(1024);
-  for (auto &M : Moves) {
-    M.first = {Rng.uniform(2, 14), Rng.uniform(2, 14), Rng.uniform(2, 14)};
-    M.second = M.first + Rng.inBall(Vector3<double>::zero(), 0.4);
+  constexpr Index Moves = 1024;
+  ParticleArrayAoS<double> Particles(Moves);
+  std::vector<Vector3<double>> From(Moves), To(Moves);
+  for (Index I = 0; I < Moves; ++I) {
+    From[I] = {Rng.uniform(2, 14), Rng.uniform(2, 14), Rng.uniform(2, 14)};
+    To[I] = From[I] + Rng.inBall(Vector3<double>::zero(), 0.4);
+    ParticleT<double> P;
+    P.Position = To[I];
+    Particles.pushBack(P);
   }
-  for (auto _ : State) {
-    for (const auto &M : Moves)
-      pic::depositCurrentEsirkepov(Grid, M.first, M.second, -1.0, 0.1);
-    benchmark::ClobberMemory();
-  }
-  State.SetItemsProcessed(State.iterations() * Index(Moves.size()));
+  auto Types = ParticleTypeTable<double>::natural();
+  const pic::DepositGeometry<double> G{Grid.origin(), Grid.step(), 0.1};
+  onLanePath(State, Path, [&] {
+    for (auto _ : State) {
+      pic::OwnedPlanesSink<double> Sink(Grid, 0, 16);
+      pic::scatterEsirkepovInLanes(Sink, Particles.view(), From.data(),
+                                   To.data(), Types.data(), G, Moves,
+                                   [](Index I) { return I; });
+      benchmark::ClobberMemory();
+    }
+  });
+  State.SetItemsProcessed(State.iterations() * Moves);
 }
-BENCHMARK(BM_EsirkepovDeposition);
+
+void registerLaneBenchmarks() {
+  for (const char *Path : LanePaths) {
+    benchmark::RegisterBenchmark(
+        (std::string("BM_LanePush/") + Path).c_str(),
+        [Path](benchmark::State &State) { lanePushBody(State, Path); });
+    benchmark::RegisterBenchmark(
+        (std::string("BM_LaneEsirkepov/") + Path).c_str(),
+        [Path](benchmark::State &State) { laneEsirkepovBody(State, Path); });
+  }
+}
 
 template <typename Array> void sortBody(benchmark::State &State) {
   Array Particles = makeEnsemble<Array>();
@@ -257,6 +306,7 @@ void registerBackendLaunchBenchmarks() {
 
 int main(int argc, char **argv) {
   registerBackendLaunchBenchmarks();
+  registerLaneBenchmarks();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv))
     return 1;

@@ -15,7 +15,6 @@
 #ifndef HICHI_CORE_CORE_H
 #define HICHI_CORE_CORE_H
 
-#include "core/BatchPusher.h"
 #include "core/BorisPusher.h"
 #include "core/Checkpoint.h"
 #include "core/EnsembleInit.h"

@@ -351,10 +351,6 @@ void appendNumber(std::string &Out, double V) {
   Out += Buf;
 }
 
-double numberField(const json::Value &Obj, const char *Name) {
-  return Obj.numberOr(Name, 0.0);
-}
-
 } // namespace
 
 std::string Calibration::toJson(const MachineProfile &P) {
@@ -416,18 +412,22 @@ bool Calibration::save(const MachineProfile &P, const std::string &Path,
 
 bool Calibration::fromJson(const json::Value &Doc, MachineProfile &Out,
                            std::string *Error) {
-  if (Doc.stringOr("schema", "") != "hichi-machine-v1") {
+  std::string Schema;
+  if (!Doc.readString("schema", Schema, Error))
+    return false;
+  if (Schema != "hichi-machine-v1") {
     if (Error)
       *Error = "not a hichi-machine-v1 document";
     return false;
   }
   Out = MachineProfile{};
-  Out.Host = Doc.stringOr("host", "unknown-host");
-  if (!Doc.readInt("threads", Out.Threads, Error) ||
-      !Doc.readInt("numa_domains", Out.NumaDomains, Error))
+  Out.Host = "unknown-host";
+  if (!Doc.readString("host", Out.Host, Error) ||
+      !Doc.readInt("threads", Out.Threads, Error) ||
+      !Doc.readInt("numa_domains", Out.NumaDomains, Error) ||
+      !Doc.readNumber("fma_flops_per_core", Out.FmaFlopsPerCore, Error) ||
+      !Doc.readNumber("fma_flops_saturated", Out.FmaFlopsSaturated, Error))
     return false;
-  Out.FmaFlopsPerCore = numberField(Doc, "fma_flops_per_core");
-  Out.FmaFlopsSaturated = numberField(Doc, "fma_flops_saturated");
   if (const json::Value *Tiers = Doc.find("bandwidth_tiers")) {
     if (!Tiers->isArray()) {
       if (Error)
@@ -436,11 +436,14 @@ bool Calibration::fromJson(const json::Value &Doc, MachineProfile &Out,
     }
     for (const json::Value &T : Tiers->Items) {
       BandwidthTier Tier;
-      Tier.WorkingSetBytes = numberField(T, "working_set_bytes");
-      Tier.PerCoreBandwidth = numberField(T, "per_core_bps");
-      Tier.PerCoreP95Bandwidth = numberField(T, "per_core_p95_bps");
-      Tier.SaturatedBandwidth = numberField(T, "saturated_bps");
-      Tier.SaturatedP95Bandwidth = numberField(T, "saturated_p95_bps");
+      if (!T.readNumber("working_set_bytes", Tier.WorkingSetBytes, Error) ||
+          !T.readNumber("per_core_bps", Tier.PerCoreBandwidth, Error) ||
+          !T.readNumber("per_core_p95_bps", Tier.PerCoreP95Bandwidth,
+                        Error) ||
+          !T.readNumber("saturated_bps", Tier.SaturatedBandwidth, Error) ||
+          !T.readNumber("saturated_p95_bps", Tier.SaturatedP95Bandwidth,
+                        Error))
+        return false;
       Out.Tiers.push_back(Tier);
     }
   }
@@ -452,9 +455,10 @@ bool Calibration::fromJson(const json::Value &Doc, MachineProfile &Out,
     }
     for (const json::Value &S : Submit->Items) {
       SubmitOverhead O;
-      O.Backend = S.stringOr("backend", "");
-      O.MedianNs = numberField(S, "median_ns");
-      O.P95Ns = numberField(S, "p95_ns");
+      if (!S.readString("backend", O.Backend, Error) ||
+          !S.readNumber("median_ns", O.MedianNs, Error) ||
+          !S.readNumber("p95_ns", O.P95Ns, Error))
+        return false;
       Out.Submit.push_back(O);
     }
   }

@@ -15,11 +15,11 @@
 ///      spectral solver),
 ///
 /// with periodic boundaries for particles and fields. Stages 1+2 and the
-/// position wrap run as one independent-particle kernel that resolves
-/// each particle's interpolation stencil once (FieldInterpolator.h),
-/// stage 3 as a tiled read-modify-write kernel, and stage 4 as x-slab
-/// halo-exchange tiles (FDTD) or k-space line/row launches (spectral) —
-/// each stage on its own configurable execution backend
+/// position wrap run as one independent-particle kernel over blocks of
+/// SIMD lanes, one particle per lane (LaneKernels.h), stage 3 as a tiled
+/// read-modify-write kernel, and stage 4 as x-slab halo-exchange tiles
+/// (FDTD) or k-space line/row launches (spectral) — each stage on its
+/// own configurable execution backend
 /// (PicOptions::PushBackend / DepositBackend / FieldBackend) — see
 /// docs/ARCHITECTURE.md for the full stage-to-backend map. This is the
 /// substrate the standalone pusher benchmarks carve their kernel out of.
@@ -56,7 +56,7 @@
 #include "pic/AbsorbingBoundary.h"
 #include "pic/CurrentDeposition.h"
 #include "pic/FdtdSolver.h"
-#include "pic/FieldInterpolator.h"
+#include "pic/LaneKernels.h"
 #include "pic/ParticleSorter.h"
 #include "pic/Rebalancer.h"
 #include "pic/SpectralSolver.h"
@@ -365,9 +365,8 @@ private:
     Stopwatch Watch;
     const std::vector<exec::ExecEvent> Pushed = submitStage1(
         PushX,
-        FusedPushBody{View, YeeInterpolator<Real>(Grid), &Grid, OldPos,
-                      NewPos, TypesPtr, 0, Dt, Options.LightVelocity,
-                      &StepParams},
+        FusedPushBody{View, &Grid, OldPos, NewPos, TypesPtr, 0, Dt,
+                      Options.LightVelocity},
         N, Ctx);
     if (TimeStages) {
       for (const exec::ExecEvent &Ev : Pushed)
@@ -428,8 +427,9 @@ private:
     ++GraphCaptures;
   }
 
-  /// Publishes the step index and simulation time to the kernel bodies
-  /// (they read them through the ParamBlock, also under replay).
+  /// Publishes the step index and simulation time through the
+  /// ParamBlock, where kernel bodies read them also under replay (no PIC
+  /// stage reads either today: the Yee gather is time-independent).
   void bindStepParams() {
     StepParams.StepIndex = Steps;
     StepParams.Scalars[0] = double(CurrentTime);
@@ -840,33 +840,24 @@ private:
 
   /// Stage 1, one pass per particle: stashes the old position, gathers
   /// the fields there, pushes, stores the unwrapped endpoint and wraps it
-  /// into the box. Particles are independent, so any partition of the
+  /// into the box, in blocks of SIMD lanes (pushParticlesInLanes,
+  /// LaneKernels.h). Particles are independent, so any partition of the
   /// items is bit-identical. A named body (not a step()-local lambda) so
   /// it can live in the reusable kernel cache across steps and a captured
-  /// graph can keep pointing at it; the per-step simulation time flows in
-  /// through the ParamBlock. Item I is particle Offset + I.
+  /// graph can keep pointing at it; the grid's live window is read at
+  /// run time. Item I is particle Offset + I.
   struct FusedPushBody {
     ViewT View;
-    YeeInterpolator<Real> Interp;
     const YeeGrid<Real> *Grid;
     Vector3<Real> *OldPos;
     Vector3<Real> *NewPos;
     const ParticleTypeInfo<Real> *Types;
     Index Offset;
     Real Dt, C;
-    const exec::ParamBlock *Params; ///< Scalars[0] = simulation time
 
     void operator()(Index Begin, Index End, int, int) const {
-      const Real Time = Real(Params->Scalars[0]);
-      for (Index I = Offset + Begin; I < Offset + End; ++I) {
-        auto P = View[I];
-        const Vector3<Real> Pos = P.position();
-        OldPos[I] = Pos;
-        BorisPusher::push<Real>(P, Interp(Pos, Time, I), Types, Dt, C);
-        const Vector3<Real> Moved = P.position();
-        NewPos[I] = Moved;
-        P.setPosition(Grid->wrapPosition(Moved));
-      }
+      pushParticlesInLanes(View, Offset + Begin, Offset + End, *Grid, Types,
+                           Dt, C, OldPos, NewPos);
     }
   };
 

@@ -25,7 +25,10 @@
 ///      sharded backend gives each lane one contiguous tile group): each tile
 ///      replays its particles in that order through an OwnedPlanesSink,
 ///      adding straight into the grid planes it owns — which the step's
-///      J-clear node has already zeroed.
+///      J-clear node has already zeroed. The Esirkepov contributions are
+///      computed one register of particles at a time in SIMD lanes
+///      (LaneKernels.h) and added one particle at a time, in the scalar
+///      scatter's order.
 ///
 /// Determinism argument (docs/ARCHITECTURE.md spells it out in full):
 /// every J node is owned by exactly one tile, so it receives exactly the
@@ -43,6 +46,7 @@
 #include "exec/ExecutionBackend.h"
 #include "exec/SlabPartition.h"
 #include "pic/CurrentDeposition.h"
+#include "pic/LaneKernels.h"
 #include "pic/YeeGrid.h"
 
 #include <algorithm>
@@ -211,9 +215,8 @@ public:
       const Index Nx = Size.Nx;
       auto Block = [=](Index, Index, int, int) {
         OwnedPlanesSink<Real> Sink(*GridPtr, 0, Nx);
-        for (Index I = 0; I < N; ++I)
-          scatterParticle(Sink, View[I], OldPos[I], NewPos[I], Types, D, O,
-                          Dt, ChargeConserving);
+        scatterParticles(Sink, View, OldPos, NewPos, Types, D, O, Dt,
+                         ChargeConserving, N, [](Index I) { return I; });
       };
       return exec::submitCachedLaunch(Backend, Ctx, Stats, 1, /*GrainHint=*/1,
                                       std::move(Block), After, Cache);
@@ -236,13 +239,15 @@ public:
       for (Index T = Begin; T < End; ++T) {
         OwnedPlanesSink<Real> Sink(*GridPtr, Self->Bounds[std::size_t(T)],
                                    Self->Bounds[std::size_t(T) + 1]);
-        for (const ChunkBins &Bins : Self->Chunks)
-          for (Index E = Bins.Start[std::size_t(T)];
-               E < Bins.Start[std::size_t(T) + 1]; ++E) {
-            const Index I = Bins.Particles[std::size_t(E)];
-            scatterParticle(Sink, View[I], OldPos[I], NewPos[I], Types, D, O,
-                            Dt, ChargeConserving);
-          }
+        for (const ChunkBins &Bins : Self->Chunks) {
+          const Index *List =
+              Bins.Particles.data() + Bins.Start[std::size_t(T)];
+          scatterParticles(Sink, View, OldPos, NewPos, Types, D, O, Dt,
+                           ChargeConserving,
+                           Bins.Start[std::size_t(T) + 1] -
+                               Bins.Start[std::size_t(T)],
+                           [List](Index E) { return List[E]; });
+        }
       }
     };
 
@@ -266,19 +271,29 @@ private:
     int Tile[3] = {};
   };
 
-  /// One particle's scatter through \p Sink, both schemes.
-  template <typename Sink, typename Proxy>
-  static void scatterParticle(Sink &S, Proxy P, const Vector3<Real> &From,
-                              const Vector3<Real> &To,
-                              const ParticleTypeInfo<Real> *Types,
-                              const Vector3<Real> &D, const Vector3<Real> &O,
-                              Real Dt, bool ChargeConserving) {
-    const Real MacroCharge = Types[P.type()].Charge * P.weight();
+  /// The scatter of particles ParticleAt(0..Count), in that order,
+  /// through \p Sink: Esirkepov in blocks of SIMD lanes
+  /// (scatterEsirkepovInLanes), the direct scheme per particle.
+  template <typename Sink, typename ParticleView, typename IndexFn>
+  static void scatterParticles(Sink &S, const ParticleView &View,
+                               const Vector3<Real> *OldPos,
+                               const Vector3<Real> *NewPos,
+                               const ParticleTypeInfo<Real> *Types,
+                               const Vector3<Real> &D, const Vector3<Real> &O,
+                               Real Dt, bool ChargeConserving, Index Count,
+                               IndexFn &&ParticleAt) {
     if (ChargeConserving) {
-      scatterCurrentEsirkepov(S, D, O, From, To, MacroCharge, Dt);
-    } else {
-      const Vector3<Real> V = (To - From) / Dt;
-      scatterCurrentDirect(S, D, O, (From + To) * Real(0.5), V, MacroCharge);
+      scatterEsirkepovInLanes(S, View, OldPos, NewPos, Types,
+                              DepositGeometry<Real>{O, D, Dt}, Count,
+                              ParticleAt);
+      return;
+    }
+    for (Index E = 0; E < Count; ++E) {
+      const Index I = ParticleAt(E);
+      const auto P = View[I];
+      const Vector3<Real> V = (NewPos[I] - OldPos[I]) / Dt;
+      scatterCurrentDirect(S, D, O, (OldPos[I] + NewPos[I]) * Real(0.5), V,
+                           Types[P.type()].Charge * P.weight());
     }
   }
 

@@ -80,29 +80,30 @@ inline bool validateJobSpec(const JobSpec &Spec, std::string *Error) {
 
 /// Parses one job object (already validated to be a JSON object) into
 /// \p Spec; absent fields keep JobSpec's defaults. \returns false with a
-/// reason in \p Error when an integer field holds a fraction or a value
-/// outside int.
+/// reason in \p Error when a field holds another JSON type than its own,
+/// or an integer field a fraction or a value outside int.
 inline bool jobSpecFromJson(const json::Value &V, JobSpec &Spec,
                             std::string *Error) {
   Spec = JobSpec{};
-  Spec.Name = V.stringOr("name", "");
-  Spec.Tenant = V.stringOr("tenant", Spec.Tenant);
-  Spec.Scenario = V.stringOr("scenario", Spec.Scenario);
-  Spec.Amplitude = V.numberOr("amplitude", Spec.Amplitude);
-  Spec.Solver = V.stringOr("solver", Spec.Solver);
-  Spec.UseGraph = V.boolOr("graph", Spec.UseGraph);
+  bool Ok = V.readString("name", Spec.Name, Error);
+  const std::pair<const char *, std::string *> StringFields[] = {
+      {"tenant", &Spec.Tenant},
+      {"scenario", &Spec.Scenario},
+      {"solver", &Spec.Solver}};
+  for (const auto &Field : StringFields)
+    Ok = Ok && V.readString(Field.first, *Field.second, Error);
+  Ok = Ok && V.readNumber("amplitude", Spec.Amplitude, Error) &&
+       V.readBool("graph", Spec.UseGraph, Error);
   const std::pair<const char *, int *> IntFields[] = {
       {"nx", &Spec.Nx},         {"ny", &Spec.Ny},
       {"nz", &Spec.Nz},         {"per_cell", &Spec.PerCell},
       {"steps", &Spec.Steps},   {"sort_every", &Spec.SortEvery},
       {"energy_every", &Spec.EnergyEvery}};
   for (const auto &Field : IntFields)
-    if (!V.readInt(Field.first, *Field.second, Error)) {
-      if (Error)
-        *Error = "job '" + Spec.Name + "': " + *Error;
-      return false;
-    }
-  return true;
+    Ok = Ok && V.readInt(Field.first, *Field.second, Error);
+  if (!Ok && Error)
+    *Error = "job '" + Spec.Name + "': " + *Error;
+  return Ok;
 }
 
 /// Parses a job-spec document (array of jobs, or object with a "jobs"

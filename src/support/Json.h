@@ -56,40 +56,63 @@ struct Value {
     return nullptr;
   }
 
-  /// Typed member accessors with defaults — absent members and type
-  /// mismatches fall back to \p Default, so spec files stay terse.
-  double numberOr(const std::string &Name, double Default) const {
+  /// Typed member readers. \p Out holds the default and keeps it when
+  /// the member is absent, so spec files stay terse. A member that is
+  /// present with another type is refused — \returns false with a
+  /// one-line reason naming the member in \p Error — never read as the
+  /// default (a quoted "steps": "2" must not run the default step count).
+  bool readNumber(const std::string &Name, double &Out,
+                  std::string *Error) const {
     const Value *V = find(Name);
-    return V && V->K == Number ? V->Num : Default;
+    if (!V)
+      return true;
+    if (V->K != Number)
+      return refuse(Name, "a number", Error);
+    Out = V->Num;
+    return true;
   }
-  /// Integer member into \p Out, whose current value is the default
-  /// (kept when the member is absent or not a number). A number with a
-  /// fraction or outside int's range is refused — \returns false with a
-  /// one-line reason naming the member in \p Error — rather than
-  /// truncated or wrapped (4294967312 must not become 16, and 1e99 must
-  /// not reach an out-of-range float-to-int conversion).
+  /// Integer member into \p Out, as readNumber. A number with a fraction
+  /// or outside int's range is refused too, rather than truncated or
+  /// wrapped (4294967312 must not become 16, and 1e99 must not reach an
+  /// out-of-range float-to-int conversion).
   bool readInt(const std::string &Name, int &Out, std::string *Error) const {
     const Value *V = find(Name);
-    if (!V || V->K != Number)
+    if (!V)
       return true;
     // NaN fails both comparisons, an infinity one of them.
-    if (V->Num >= double(INT_MIN) && V->Num <= double(INT_MAX) &&
-        V->Num == std::floor(V->Num)) {
-      Out = int(V->Num);
+    if (V->K != Number || !(V->Num >= double(INT_MIN) &&
+                            V->Num <= double(INT_MAX) &&
+                            V->Num == std::floor(V->Num)))
+      return refuse(Name, "an integer within int range", Error);
+    Out = int(V->Num);
+    return true;
+  }
+  bool readString(const std::string &Name, std::string &Out,
+                  std::string *Error) const {
+    const Value *V = find(Name);
+    if (!V)
       return true;
-    }
+    if (V->K != String)
+      return refuse(Name, "a string", Error);
+    Out = V->Str;
+    return true;
+  }
+  bool readBool(const std::string &Name, bool &Out, std::string *Error) const {
+    const Value *V = find(Name);
+    if (!V)
+      return true;
+    if (V->K != Bool)
+      return refuse(Name, "true or false", Error);
+    Out = V->B;
+    return true;
+  }
+
+private:
+  static bool refuse(const std::string &Name, const char *Expected,
+                     std::string *Error) {
     if (Error)
-      *Error = "\"" + Name + "\" must be an integer within int range";
+      *Error = "\"" + Name + "\" must be " + Expected;
     return false;
-  }
-  std::string stringOr(const std::string &Name,
-                       const std::string &Default) const {
-    const Value *V = find(Name);
-    return V && V->K == String ? V->Str : Default;
-  }
-  bool boolOr(const std::string &Name, bool Default) const {
-    const Value *V = find(Name);
-    return V && V->K == Bool ? V->B : Default;
   }
 };
 

@@ -1,4 +1,4 @@
-//===-- tests/core/EnsembleToolsTest.cpp - Batch pusher, ensemble ops, checkpoints ===//
+//===-- tests/core/EnsembleToolsTest.cpp - Ensemble ops, checkpoints -----===//
 //
 // Part of the hichi-boris-dpcpp-repro project, under the MIT License.
 //
@@ -14,87 +14,6 @@
 using namespace hichi;
 
 namespace {
-
-//===----------------------------------------------------------------------===//
-// BatchPusher: must equal the proxy path bitwise
-//===----------------------------------------------------------------------===//
-
-TEST(BatchPusherTest, UniformFieldMatchesProxyPathToUlps) {
-  const Index N = 257; // odd size: exercises any remainder handling
-  ParticleArraySoA<double> Batch(N), Proxy(N);
-  initializeRandomEnsemble(Batch, N, ParticleTypeTable<double>::natural(),
-                           Vector3<double>::zero(), 1.0, 3.0, 1.0,
-                           PS_Electron, 21);
-  copyEnsemble(Batch, Proxy);
-
-  auto Types = ParticleTypeTable<double>::natural();
-  const FieldSample<double> F{{0.2, -0.1, 0.05}, {1.0, 0.5, -2.0}};
-  for (int Step = 0; Step < 25; ++Step) {
-    borisPushBatchSoA(Batch.view(), 0, N, Types[PS_Electron], F, 0.03, 1.0);
-    for (Index I = 0; I < N; ++I)
-      BorisPusher::push<double>(Proxy[I], F, Types.data(), 0.03, 1.0);
-  }
-  // The arithmetic is operation-identical, but the compiler may contract
-  // multiply-adds into FMAs differently in the two inlining contexts
-  // (-ffp-contract is on at -O3), so require agreement to a few ulps
-  // rather than bit equality.
-  for (Index I = 0; I < N; ++I) {
-    const double Scale = Proxy[I].momentum().norm() + 1.0;
-    EXPECT_LT((Batch[I].momentum() - Proxy[I].momentum()).norm(),
-              1e-14 * Scale)
-        << I;
-    EXPECT_LT((Batch[I].position() - Proxy[I].position()).norm(), 1e-13)
-        << I;
-    EXPECT_NEAR(Batch[I].gamma(), Proxy[I].gamma(), 1e-13 * Scale) << I;
-  }
-}
-
-TEST(BatchPusherTest, PerParticleFieldsMatchProxyPath) {
-  const Index N = 128;
-  ParticleArraySoA<float> Batch(N), Proxy(N);
-  initializeRandomEnsemble(Batch, N, ParticleTypeTable<float>::natural(),
-                           Vector3<float>::zero(), 1.0f, 2.0f, 1.0f,
-                           PS_Positron, 22);
-  copyEnsemble(Batch, Proxy);
-
-  // Per-particle field arrays (the Precalculated scenario's shape).
-  std::vector<float> Ex(N), Ey(N), Ez(N), Bx(N), By(N), Bz(N);
-  RandomStream<float> Rng(23);
-  for (Index I = 0; I < N; ++I) {
-    Ex[I] = Rng.uniform(-1, 1);
-    Ey[I] = Rng.uniform(-1, 1);
-    Ez[I] = Rng.uniform(-1, 1);
-    Bx[I] = Rng.uniform(-2, 2);
-    By[I] = Rng.uniform(-2, 2);
-    Bz[I] = Rng.uniform(-2, 2);
-  }
-  auto Types = ParticleTypeTable<float>::natural();
-  borisPushBatchSoA<float>(Batch.view(), 0, N, Types[PS_Positron], Ex.data(),
-                           Ey.data(), Ez.data(), Bx.data(), By.data(),
-                           Bz.data(), 0.01f, 1.0f);
-  for (Index I = 0; I < N; ++I) {
-    FieldSample<float> F{{Ex[I], Ey[I], Ez[I]}, {Bx[I], By[I], Bz[I]}};
-    BorisPusher::push<float>(Proxy[I], F, Types.data(), 0.01f, 1.0f);
-  }
-  for (Index I = 0; I < N; ++I)
-    EXPECT_LT((Batch[I].momentum() - Proxy[I].momentum()).norm(),
-              1e-6f * (Proxy[I].momentum().norm() + 1.0f))
-        << I;
-}
-
-TEST(BatchPusherTest, SubRangePushLeavesRestUntouched) {
-  const Index N = 100;
-  ParticleArraySoA<double> P(N);
-  initializeRandomEnsemble(P, N, ParticleTypeTable<double>::natural(),
-                           Vector3<double>::zero(), 1.0, 1.0, 1.0,
-                           PS_Electron, 24);
-  auto Before = P[0].load();
-  auto Types = ParticleTypeTable<double>::natural();
-  borisPushBatchSoA(P.view(), 50, 100, Types[PS_Electron],
-                    FieldSample<double>{{1, 0, 0}, {0, 0, 0}}, 0.1, 1.0);
-  EXPECT_EQ(P[0].momentum(), Before.Momentum);
-  EXPECT_NE(P[60].momentum(), Vector3<double>::zero());
-}
 
 //===----------------------------------------------------------------------===//
 // EnsembleOps

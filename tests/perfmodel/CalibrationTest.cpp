@@ -54,7 +54,9 @@ TEST(CalibrationTest, JsonRoundTripIsBitIdentical) {
   json::Value Parsed;
   std::string Error;
   ASSERT_TRUE(json::parse(Doc, Parsed, &Error)) << Error;
-  EXPECT_EQ(Parsed.stringOr("schema", ""), "hichi-machine-v1");
+  std::string Schema;
+  EXPECT_TRUE(Parsed.readString("schema", Schema, &Error)) << Error;
+  EXPECT_EQ(Schema, "hichi-machine-v1");
 
   MachineProfile Back;
   ASSERT_TRUE(Calibration::fromJson(Parsed, Back, &Error)) << Error;
@@ -103,27 +105,50 @@ TEST(CalibrationTest, EveryTruncationFailsCleanly) {
   std::remove(Path.c_str());
 }
 
-/// Hostile input: an integer field holding a fraction or a value outside
-/// int is refused with a one-line error naming the field — never
+/// Hostile input: a member holding another JSON type than its own, or an
+/// integer member holding a fraction or a value outside int, is refused
+/// with a one-line error naming the member — never read as the default,
 /// truncated (16.7 -> 16), wrapped (4294967312 -> 16) or cast out of
 /// range (1e99).
-TEST(CalibrationTest, NonIntegerOrOutOfRangeIntFieldsAreRefused) {
+TEST(CalibrationTest, WrongTypeNonIntegerOrOutOfRangeFieldsAreRefused) {
+  // (member, document with that member holding the hostile value)
+  std::vector<std::pair<std::string, std::string>> Rows;
+  const std::string Head = R"({"schema": "hichi-machine-v1", )";
+  auto TopLevel = [&](const std::string &Field, const std::string &Value) {
+    Rows.emplace_back(Field, Head + "\"" + Field + "\": " + Value + "}");
+  };
+  auto InArray = [&](const char *Array, const std::string &Field,
+                     const std::string &Value) {
+    Rows.emplace_back(Field, Head + "\"" + Array + "\": [{\"" + Field +
+                                 "\": " + Value + "}]}");
+  };
   for (const char *Field : {"threads", "numa_domains"})
-    for (const char *Value : {"16.7", "4294967312", "1e99", "-1e99"}) {
-      const std::string Doc =
-          std::string(R"({"schema": "hichi-machine-v1", ")") + Field +
-          "\": " + Value + "}";
-      SCOPED_TRACE(Doc);
-      json::Value Parsed;
-      std::string Error;
-      ASSERT_TRUE(json::parse(Doc, Parsed, &Error)) << Error;
-      MachineProfile Out;
-      EXPECT_FALSE(Calibration::fromJson(Parsed, Out, &Error));
-      EXPECT_NE(Error.find(std::string("\"") + Field + "\""),
-                std::string::npos)
-          << Error;
-      EXPECT_EQ(Error.find('\n'), std::string::npos) << Error;
-    }
+    for (const char *Value : {"16.7", "4294967312", "1e99", "-1e99",
+                              "\"4\"", "true", "null"})
+      TopLevel(Field, Value);
+  for (const char *Value : {"5", "false", "null"})
+    TopLevel("host", Value);
+  for (const char *Field : {"fma_flops_per_core", "fma_flops_saturated"})
+    for (const char *Value : {"\"1e9\"", "true", "null", "[]"})
+      TopLevel(Field, Value);
+  for (const char *Field : {"working_set_bytes", "per_core_bps",
+                            "per_core_p95_bps", "saturated_bps",
+                            "saturated_p95_bps"})
+    InArray("bandwidth_tiers", Field, "\"16384\"");
+  InArray("submit_overheads", "backend", "3");
+  InArray("submit_overheads", "median_ns", "\"120.5\"");
+  InArray("submit_overheads", "p95_ns", "false");
+  for (const auto &Row : Rows) {
+    SCOPED_TRACE(Row.second);
+    json::Value Parsed;
+    std::string Error;
+    ASSERT_TRUE(json::parse(Row.second, Parsed, &Error)) << Error;
+    MachineProfile Out;
+    EXPECT_FALSE(Calibration::fromJson(Parsed, Out, &Error));
+    EXPECT_NE(Error.find("\"" + Row.first + "\" must be"), std::string::npos)
+        << Error;
+    EXPECT_EQ(Error.find('\n'), std::string::npos) << Error;
+  }
 }
 
 TEST(CalibrationTest, FromJsonRejectsWrongSchema) {

@@ -18,7 +18,9 @@
 /// and, where the row keeps the class's threshold, the same rebalance
 /// fires. A row armed with another threshold must never fire. Graph rows
 /// capture once and replay every other step, plus one recapture per
-/// fire or shift at most.
+/// fire or shift at most. Lane rows force the baseline instantiation of
+/// the SIMD lane kernels (pic/LaneKernels.h) through their test hook,
+/// while the references run the path this CPU dispatches to.
 ///
 /// Rows are grouped by the ctest gate that runs them (the name prefix;
 /// CMakeLists.txt adds one target per group), so each row runs once per
@@ -101,6 +103,7 @@ struct Row {
   bool SoA = false;
   bool Graph = false;
   double Rebalance = 0;
+  bool BaselineLanes = false;
 
   Row &soa() {
     SoA = true;
@@ -112,6 +115,10 @@ struct Row {
   }
   Row &rebalance(double Threshold) {
     Rebalance = Threshold;
+    return *this;
+  }
+  Row &baselineLanes() {
+    BaselineLanes = true;
     return *this;
   }
 
@@ -137,6 +144,8 @@ struct Row {
       K += "_graph";
     if (Rebalance != Class->Rebalance)
       K += "_rb" + std::to_string(int(Rebalance * 10 + 0.5));
+    if (BaselineLanes)
+      K += "_baselinelanes";
     return K;
   }
   std::string name() const { return std::string(Group) + "_" + key(); }
@@ -144,7 +153,7 @@ struct Row {
 
 Row row(const char *Group, const HashClass &C, Stage Push, Stage Deposit,
         Stage Field) {
-  return {Group, &C, Push, Deposit, Field, false, false, C.Rebalance};
+  return {Group, &C, Push, Deposit, Field, false, false, C.Rebalance, false};
 }
 
 /// Every stage on one backend with the same threads; \p Tiles goes to
@@ -293,6 +302,20 @@ std::vector<Row> matrixRows() {
   R.push_back(
       allOn("window", Window, "sharded", 5).soa().graph().rebalance(1.3));
 
+  // The baseline lane kernels land on the bits of the dispatched ones:
+  // one-tile and tiled deposits, both layouts, both solvers, the direct
+  // scheme (lanes in stage 1 only), graph replay, the moving window, two
+  // species and a fired rebalance at an open boundary.
+  R.push_back(allOn("lane", Fdtd, "serial").baselineLanes());
+  R.push_back(allOn("lane", Fdtd, "openmp", 3, 5).baselineLanes());
+  R.push_back(allOn("lane", Fdtd, "sharded", 2).soa().graph().baselineLanes());
+  R.push_back(allOn("lane", Spectral, "openmp", 3).baselineLanes());
+  R.push_back(allOn("lane", Direct, "openmp", 3, 5).baselineLanes());
+  R.push_back(allOn("lane", Window, "sharded", 2).graph().baselineLanes());
+  R.push_back(allOn("lane", TwoSpecies, "openmp", 3).baselineLanes());
+  R.push_back(
+      allOn("lane", GradientRebalanced, "sharded", 4).baselineLanes());
+
   // The physics scenarios' backend companions: two-stream, mobile ions,
   // a shrinking ensemble at an open boundary, and a fired rebalance
   // whose sort is a real permutation.
@@ -378,8 +401,11 @@ template <typename Array> RunResult runConfig(const Row &R) {
 }
 
 RunResult runRow(const Row &R) {
-  return R.SoA ? runConfig<ParticleArraySoA<double>>(R)
-               : runConfig<ParticleArrayAoS<double>>(R);
+  detail::forceBaselineLanes(R.BaselineLanes);
+  const RunResult Out = R.SoA ? runConfig<ParticleArraySoA<double>>(R)
+                              : runConfig<ParticleArrayAoS<double>>(R);
+  detail::forceBaselineLanes(false);
+  return Out;
 }
 
 /// The class's serial reference, run once per class and process.

@@ -303,33 +303,53 @@ TEST(ServeTest, EveryJobSpecBitFlipFailsCleanlyOrLoadsValidSpecs) {
   std::remove(Path.c_str());
 }
 
-/// Hostile input: an integer field holding a fraction or a value outside
-/// int is refused with a one-line error naming the field — never
-/// truncated (16.7 -> 16), wrapped (4294967312 -> 16) or cast out of
-/// range (1e99).
-TEST(ServeTest, NonIntegerOrOutOfRangeIntFieldsAreRefused) {
+/// Hostile input: a field holding another JSON type than its own, or an
+/// integer field holding a fraction or a value outside int, is refused
+/// with a one-line error naming the field — never read as the default (a
+/// quoted "steps": "2" once ran the default 48 steps), truncated
+/// (16.7 -> 16), wrapped (4294967312 -> 16) or cast out of range (1e99).
+TEST(ServeTest, WrongTypeNonIntegerOrOutOfRangeFieldsAreRefused) {
+  std::vector<std::pair<std::string, std::string>> Rows;
   for (const char *Field : {"nx", "ny", "nz", "per_cell", "steps",
                             "sort_every", "energy_every"})
-    for (const char *Value : {"16.7", "4294967312", "1e99", "-1e99"}) {
-      // A small valid spec with \p Field replaced by the hostile value.
-      std::map<std::string, std::string> Members = {
-          {"nx", "4"}, {"steps", "4"}, {"per_cell", "1"}};
-      Members[Field] = Value;
-      std::string Doc = R"([{"name": "a")";
-      for (const auto &M : Members)
-        Doc += ", \"" + M.first + "\": " + M.second;
-      Doc += "}]";
-      SCOPED_TRACE(Doc);
-      json::Value Parsed;
-      std::string Error;
-      ASSERT_TRUE(json::parse(Doc, Parsed, &Error)) << Error;
-      std::vector<JobSpec> Specs;
-      EXPECT_FALSE(parseJobSpecs(Parsed, Specs, &Error));
-      EXPECT_NE(Error.find(std::string("\"") + Field + "\""),
-                std::string::npos)
-          << Error;
-      EXPECT_EQ(Error.find('\n'), std::string::npos) << Error;
-    }
+    for (const char *Value : {"16.7", "4294967312", "1e99", "-1e99",
+                              "\"8\"", "true", "null", "[4]"})
+      Rows.emplace_back(Field, Value);
+  for (const char *Field : {"name", "tenant", "scenario", "solver"})
+    for (const char *Value : {"7", "false", "null", "{}"})
+      Rows.emplace_back(Field, Value);
+  for (const char *Value : {"\"0.05\"", "true", "null"})
+    Rows.emplace_back("amplitude", Value);
+  for (const char *Value : {"\"false\"", "0", "null"})
+    Rows.emplace_back("graph", Value);
+  for (const auto &Row : Rows) {
+    // A small valid spec with the row's field replaced by its value.
+    std::map<std::string, std::string> Members = {
+        {"name", "\"a\""}, {"nx", "4"}, {"steps", "4"}, {"per_cell", "1"}};
+    Members[Row.first] = Row.second;
+    std::string Doc = "[{";
+    for (const auto &M : Members)
+      Doc += (Doc.size() > 2 ? ", \"" : "\"") + M.first + "\": " + M.second;
+    Doc += "}]";
+    SCOPED_TRACE(Doc);
+    json::Value Parsed;
+    std::string Error;
+    ASSERT_TRUE(json::parse(Doc, Parsed, &Error)) << Error;
+    std::vector<JobSpec> Specs;
+    EXPECT_FALSE(parseJobSpecs(Parsed, Specs, &Error));
+    EXPECT_NE(Error.find("\"" + Row.first + "\" must be"), std::string::npos)
+        << Error;
+    EXPECT_EQ(Error.find('\n'), std::string::npos) << Error;
+  }
+  // The spec that ran 48 steps instead of 2.
+  json::Value Parsed;
+  std::string Error;
+  ASSERT_TRUE(json::parse(
+      R"([{"name":"a","nx":"8","steps":"2","per_cell":1,"graph":"false"}])",
+      Parsed, &Error));
+  std::vector<JobSpec> Specs;
+  EXPECT_FALSE(parseJobSpecs(Parsed, Specs, &Error));
+  EXPECT_NE(Error.find("must be"), std::string::npos) << Error;
 }
 
 } // namespace

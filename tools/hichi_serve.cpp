@@ -62,9 +62,14 @@ bool loadManifest(const std::string &StateDir,
   }
   for (const json::Value &Entry : Jobs->Items) {
     ManifestEntry M;
-    M.State = Entry.stringOr("state", "pending");
-    M.Hash = std::strtoull(Entry.stringOr("hash", "0").c_str(), nullptr, 16);
-    Out[Entry.stringOr("name", "")] = M;
+    M.State = "pending";
+    std::string Name, Hash = "0";
+    if (!Entry.readString("state", M.State, Error) ||
+        !Entry.readString("hash", Hash, Error) ||
+        !Entry.readString("name", Name, Error))
+      return false;
+    M.Hash = std::strtoull(Hash.c_str(), nullptr, 16);
+    Out[Name] = M;
   }
   return true;
 }
