@@ -7,10 +7,10 @@
 /// \file
 /// google-benchmark micro-benchmarks of the individual kernels: the three
 /// pushers over both layouts and precisions, the m-dipole field
-/// evaluation, grid interpolation, the PIC step's SIMD lane kernels
-/// (stage 1 and the Esirkepov deposit, baseline and AVX-512 paths) and
-/// the particle sort. These are the per-kernel numbers behind the
-/// scenario-level NSPS tables.
+/// evaluation, grid interpolation, the SIMD lane kernels (PIC stage 1,
+/// the standalone dipole push and the Esirkepov deposit, baseline and
+/// AVX-512 paths) and the particle sort. These are the per-kernel
+/// numbers behind the scenario-level NSPS tables.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -230,8 +230,31 @@ void laneEsirkepovBody(benchmark::State &State, const std::string &Path) {
   State.SetItemsProcessed(State.iterations() * Moves);
 }
 
+/// The standalone pusher's analytic step (DipoleWaveSource + Boris) in
+/// lane blocks, as exec::runStepLoop runs it, over a ball of electrons
+/// reaching kR ~ 3; BM_DipoleEval_double is its field half, one
+/// particle at a time.
+void laneDipolePushBody(benchmark::State &State, const std::string &Path) {
+  ParticleArrayAoS<double> Particles(MicroN);
+  initializeBallAtRest(Particles, MicroN, Vector3<double>::zero(), 3.0,
+                       PS_Electron, 7);
+  const auto Types = ParticleTypeTable<double>::natural();
+  const auto Wave = DipoleWaveSource<double>::fromPower(1, 1, 1);
+  onLanePath(State, Path, [&] {
+    for (auto _ : State) {
+      pic::pushDipoleInLanes(Particles.view(), 0, MicroN, Wave.atTime(0.1),
+                             Types.data(), 0.01, 1.0);
+      benchmark::ClobberMemory();
+    }
+  });
+  State.SetItemsProcessed(State.iterations() * MicroN);
+}
+
 void registerLaneBenchmarks() {
   for (const char *Path : LanePaths) {
+    benchmark::RegisterBenchmark(
+        (std::string("BM_LaneDipolePush/") + Path).c_str(),
+        [Path](benchmark::State &State) { laneDipolePushBody(State, Path); });
     benchmark::RegisterBenchmark(
         (std::string("BM_LanePush/") + Path).c_str(),
         [Path](benchmark::State &State) { lanePushBody(State, Path); });

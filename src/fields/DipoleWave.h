@@ -49,10 +49,12 @@ namespace hichi {
 template <typename Real> struct DipoleRadialFunctions {
   Real F1, F2, F3;
 
+  /// Below this x the direct formulas lose ~eps/x^3 digits; the
+  /// truncated series is then far more accurate.
+  static constexpr Real Threshold =
+      sizeof(Real) == 4 ? Real(0.25) : Real(0.02);
+
   static DipoleRadialFunctions evaluate(Real X) {
-    // Below the threshold the direct formulas lose ~eps/x^3 digits; the
-    // truncated series is then far more accurate.
-    const Real Threshold = sizeof(Real) == 4 ? Real(0.25) : Real(0.02);
     DipoleRadialFunctions Out;
     if (X < Threshold) {
       const Real X2 = X * X;
@@ -70,6 +72,42 @@ template <typename Real> struct DipoleRadialFunctions {
     Out.F1 = Sin * Inv2 - Cos * Inv;
     Out.F2 = (Real(3) * Inv3 - Inv) * Sin - Real(3) * Cos * Inv2;
     Out.F3 = (Inv - Inv3) * Sin + Cos * Inv2;
+    return Out;
+  }
+};
+
+/// The standing m-dipole wave at one instant (DipoleWaveSource::atTime):
+/// the sample at a position, with the time terms 2 A0 cos(w0 t) and
+/// -2 A0 sin(w0 t) bound. Each bound product is a left-to-right prefix
+/// of a product of eq. 14, so binding moves no bit.
+template <typename Real> struct DipoleWaveAtTime {
+  Real WaveNumber; ///< k
+  Real ECoef;      ///< 2 A0 cos(w0 t)
+  Real BCoef;      ///< -2 A0 sin(w0 t)
+  Real FocusBz;    ///< B_z at R = 0: -2 A0 sin(w0 t) * 2 / 3
+
+  FieldSample<Real> operator()(const Vector3<Real> &Pos, Index) const {
+    const Real R2 = Pos.norm2();
+    const Real R = std::sqrt(R2);
+    const Real X = WaveNumber * R;
+    const auto F = DipoleRadialFunctions<Real>::evaluate(X);
+
+    FieldSample<Real> Out;
+    if (R2 == Real(0)) {
+      // Exactly at the focus: E -> 0, B -> -2 A0 sin(w0 t) (0,0,2/3).
+      Out.E = Vector3<Real>::zero();
+      Out.B = Vector3<Real>(0, 0, FocusBz);
+      return Out;
+    }
+
+    const Real InvR = Real(1) / R;
+    const Real InvR2 = InvR * InvR;
+    Out.E = Vector3<Real>(-Pos.Y * InvR, Pos.X * InvR, Real(0)) *
+            (ECoef * F.F1);
+    Out.B = Vector3<Real>(Pos.X * Pos.Z * InvR2 * F.F2,
+                          Pos.Y * Pos.Z * InvR2 * F.F2,
+                          Pos.Z * Pos.Z * InvR2 * F.F2 + F.F3) *
+            BCoef;
     return Out;
   }
 };
@@ -98,37 +136,35 @@ template <typename Real> struct DipoleWaveSource {
                      Real(constants::LightVelocity));
   }
 
-  /// Field-source interface (see core/FieldSample.h).
-  FieldSample<Real> operator()(const Vector3<Real> &Pos, Real Time,
-                               Index /*ParticleIndex*/) const {
-    const Real R2 = Pos.norm2();
-    const Real R = std::sqrt(R2);
-    const Real X = WaveNumber * R;
-    const auto F = DipoleRadialFunctions<Real>::evaluate(X);
-
+  /// The wave at \p Time: the time terms of eq. 14, evaluated once for
+  /// every particle sampled at that time.
+  DipoleWaveAtTime<Real> atTime(Real Time) const {
     const Real Phase = WaveFrequency * Time;
     const Real CosT = std::cos(Phase);
     const Real SinT = std::sin(Phase);
     const Real TwoA = Real(2) * Amplitude;
-
-    FieldSample<Real> Out;
-    if (R2 == Real(0)) {
-      // Exactly at the focus: E -> 0, B -> -2 A0 sin(w0 t) (0,0,2/3).
-      Out.E = Vector3<Real>::zero();
-      Out.B = Vector3<Real>(0, 0, -TwoA * SinT * Real(2) / Real(3));
-      return Out;
-    }
-
-    const Real InvR = Real(1) / R;
-    const Real InvR2 = InvR * InvR;
-    Out.E = Vector3<Real>(-Pos.Y * InvR, Pos.X * InvR, Real(0)) *
-            (TwoA * CosT * F.F1);
     const Real BFactor = -TwoA * SinT;
-    Out.B = Vector3<Real>(Pos.X * Pos.Z * InvR2 * F.F2,
-                          Pos.Y * Pos.Z * InvR2 * F.F2,
-                          Pos.Z * Pos.Z * InvR2 * F.F2 + F.F3) *
-            BFactor;
-    return Out;
+    return {WaveNumber, TwoA * CosT, BFactor, BFactor * Real(2) / Real(3)};
+  }
+
+  /// Field-source interface (see core/FieldSample.h).
+  FieldSample<Real> operator()(const Vector3<Real> &Pos, Real Time,
+                               Index ParticleIndex) const {
+    return atTime(Time)(Pos, ParticleIndex);
+  }
+};
+
+/// The pulsed wave at one instant (PulsedDipoleWaveSource::atTime).
+template <typename Real> struct PulsedDipoleWaveAtTime {
+  DipoleWaveAtTime<Real> Carrier;
+  Real Envelope;
+
+  FieldSample<Real> operator()(const Vector3<Real> &Pos,
+                               Index ParticleIndex) const {
+    FieldSample<Real> F = Carrier(Pos, ParticleIndex);
+    F.E *= Envelope;
+    F.B *= Envelope;
+    return F;
   }
 };
 
@@ -166,13 +202,14 @@ template <typename Real> struct PulsedDipoleWaveSource {
     return S * S;
   }
 
+  /// The pulse at \p Time: the carrier's time terms and the envelope.
+  PulsedDipoleWaveAtTime<Real> atTime(Real Time) const {
+    return {Carrier.atTime(Time), envelope(Time)};
+  }
+
   FieldSample<Real> operator()(const Vector3<Real> &Pos, Real Time,
                                Index ParticleIndex) const {
-    FieldSample<Real> F = Carrier(Pos, Time, ParticleIndex);
-    const Real Env = envelope(Time);
-    F.E *= Env;
-    F.B *= Env;
-    return F;
+    return atTime(Time)(Pos, ParticleIndex);
   }
 };
 

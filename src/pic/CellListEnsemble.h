@@ -131,16 +131,19 @@ private:
 };
 
 /// Pushes every particle of a cell-list ensemble one step and migrates.
-/// Mirrors exec::runStepLoop's per-particle body so the two storage
-/// schemes run the identical kernel.
+/// Runs the per-particle reference body (the source bound to \p Time by
+/// sampleAtTime, then Pusher::push), so its bits match exec::runStepLoop
+/// on the flat layouts, which runs the same body or, for the Boris push
+/// in the dipole wave, its bit-identical SIMD lanes.
 template <typename Pusher = BorisPusher, typename Real, typename FieldFn>
 Index pushCellList(CellListEnsemble<Real> &Ensemble, const FieldFn &Fields,
                    const ParticleTypeTable<Real> &Types, Real Dt, Real Time,
                    Real LightVelocity) {
   const ParticleTypeInfo<Real> *TypesPtr = Types.data();
+  const auto Sample = sampleAtTime(Fields, Time);
   Ensemble.forEachParticle([&](ParticleT<Real> &P) {
     AosParticleProxy<Real> Proxy(&P);
-    const FieldSample<Real> F = Fields(P.Position, Time, 0);
+    const FieldSample<Real> F = Sample(P.Position, 0);
     Pusher::template push<Real>(Proxy, F, TypesPtr, Dt, LightVelocity);
   });
   return Ensemble.migrate();

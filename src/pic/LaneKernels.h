@@ -1,20 +1,24 @@
-//===-- pic/LaneKernels.h - Stage 1 and Esirkepov in SIMD lanes -*- C++ -*-===//
+//===-- pic/LaneKernels.h - Hot loops in SIMD lanes -------------*- C++ -*-===//
 //
 // Part of the hichi-boris-dpcpp-repro project, under the MIT License.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The PIC loop's two per-particle hot loops in blocks of particles, one
-/// particle per SIMD lane: stage 1 (the CIC Yee gather of
-/// YeeInterpolator, BorisPusher::push and the periodic wrap) in blocks
-/// of LaneWidth, and the Esirkepov current scatter's 54 contributions in
-/// blocks of one register (the ISA's DepositWidth) (Vincenti et al., "An
+/// The per-particle hot loops in blocks of particles, one particle per
+/// SIMD lane: PIC stage 1 (the CIC Yee gather of YeeInterpolator,
+/// BorisPusher::push and the periodic wrap) and the standalone pusher's
+/// analytic push (DipoleWaveAtTime, then BorisPusher::push; driven by
+/// exec::runStepLoop) in blocks of LaneWidth, both through one Boris lane
+/// body; and the Esirkepov current scatter's 54 contributions in blocks
+/// of one register (the ISA's DepositWidth) (Vincenti et al., "An
 /// efficient and portable SIMD algorithm for charge/current deposition
 /// in Particle-In-Cell codes", CPC 210, 2017). The paper's CPU result
 /// rests on the pusher vectorizing "with full use of AVX-512
 /// instructions" (Sec. 5.3); the baseline build cannot assume that ISA,
-/// so the vector code comes from the source.
+/// so the vector code comes from the source. The dipole's sin and cos
+/// stay scalar libm calls, one pair per lane off the series branch: a
+/// vector libm is not bit-equal to it.
 ///
 /// Determinism: every lane runs exactly the IEEE operations of the
 /// per-particle code, in the same order — no contraction into FMAs,
@@ -38,6 +42,7 @@
 #define HICHI_PIC_LANEKERNELS_H
 
 #include "core/ParticleTypes.h"
+#include "fields/DipoleWave.h"
 #include "support/Config.h"
 #include "support/Vector3.h"
 
@@ -88,12 +93,13 @@ template <int W> struct LaneMath<BaselineIsa, W> {
   }
 };
 
-/// Stage 1 of one block. In: position, momentum and the species' charge
-/// and mass. Out: the new momentum and gamma, the unwrapped endpoint
-/// (End*), and the wrapped position back in X/Y/Z — except in lanes with
-/// Unwrapped[L] set, whose endpoint lies outside the one-box reach of the
-/// fast wrap (or is NaN): the caller wraps those with
-/// YeeGrid::wrapPosition, which takes its fmod branch there.
+/// One block of particles through a push. In: position, momentum and the
+/// species' charge and mass. Out: the new momentum and gamma and the
+/// unwrapped endpoint (End*). Stage 1 also wraps the position back into
+/// X/Y/Z — except in lanes with Unwrapped[L] set, whose endpoint lies
+/// outside the one-box reach of the fast wrap (or is NaN): the caller
+/// wraps those with YeeGrid::wrapPosition, which takes its fmod branch
+/// there.
 template <typename Real> struct alignas(64) PushLanes {
   Real X[LaneWidth], Y[LaneWidth], Z[LaneWidth];
   Real Px[LaneWidth], Py[LaneWidth], Pz[LaneWidth];
@@ -101,6 +107,12 @@ template <typename Real> struct alignas(64) PushLanes {
   Real Gamma[LaneWidth];
   Real EndX[LaneWidth], EndY[LaneWidth], EndZ[LaneWidth];
   Index Unwrapped[LaneWidth];
+};
+
+/// The field sample of each lane of a block.
+template <typename Real> struct alignas(64) FieldLanes {
+  Real Ex[LaneWidth], Ey[LaneWidth], Ez[LaneWidth];
+  Real Bx[LaneWidth], By[LaneWidth], Bz[LaneWidth];
 };
 
 /// What stage 1 reads of the grid: the six field lattices' storage, the
@@ -135,7 +147,12 @@ template <typename Real> struct DepositGeometry {
 
 /// The lane bodies. Each helper is a member, so it carries the ISA tag.
 template <typename Real, typename Isa> struct LaneKernels {
+  /// PIC stage 1: Yee gather, Boris push, wrap.
   static void push(PushLanes<Real> &Ln, const PushGeometry<Real> &G);
+  /// The standalone pusher's analytic push: the dipole wave at each
+  /// lane's position, then the Boris push.
+  static void dipolePush(PushLanes<Real> &Ln,
+                         const DipoleWaveAtTime<Real> &Wave, Real Dt, Real C);
   static void esirkepov(EsirkepovLanes<Real, Isa::DepositWidth> &Ln,
                         const DepositGeometry<Real> &G);
 
@@ -224,6 +241,132 @@ template <typename Real, typename Isa> struct LaneKernels {
         Sh[I][L] = Distance < Real(1) ? Real(1) - Distance : Real(0);
       }
   }
+
+  /// BorisPusher::push, operation for operation, in every lane: the new
+  /// momentum and gamma, and the drifted position in End*.
+  HICHI_ALWAYS_INLINE static void boris(PushLanes<Real> &Ln,
+                                        const FieldLanes<Real> &F, Real Dt,
+                                        Real C) {
+    constexpr int W = LaneWidth;
+    // The E half-kick and gamma^n at p^-.
+    Real QHalfDt[W], Mc[W], EIx[W], EIy[W], EIz[W], PMx[W], PMy[W], PMz[W];
+    Real Radicand[W], Gamma[W];
+    for (int L = 0; L < W; ++L) {
+      QHalfDt[L] = Ln.Charge[L] * Dt * Real(0.5);
+      Mc[L] = Ln.Mass[L] * C;
+      EIx[L] = F.Ex[L] * QHalfDt[L];
+      EIy[L] = F.Ey[L] * QHalfDt[L];
+      EIz[L] = F.Ez[L] * QHalfDt[L];
+      PMx[L] = Ln.Px[L] + EIx[L];
+      PMy[L] = Ln.Py[L] + EIy[L];
+      PMz[L] = Ln.Pz[L] + EIz[L];
+      const Real Norm2 = PMx[L] * PMx[L] + PMy[L] * PMy[L] + PMz[L] * PMz[L];
+      Radicand[L] = Real(1) + Norm2 / (Mc[L] * Mc[L]);
+    }
+    LaneMath<Isa, LaneWidth>::sqrt(Radicand, Gamma);
+
+    // The rotation about B, the second half-kick and gamma at n+1/2.
+    Real PNx[W], PNy[W], PNz[W];
+    for (int L = 0; L < W; ++L) {
+      const Real TCoef = QHalfDt[L] / (Gamma[L] * Mc[L]);
+      const Real Tx = F.Bx[L] * TCoef, Ty = F.By[L] * TCoef,
+                 Tz = F.Bz[L] * TCoef;
+      const Real SCoef = Real(2) / (Real(1) + (Tx * Tx + Ty * Ty + Tz * Tz));
+      const Real Sx = Tx * SCoef, Sy = Ty * SCoef, Sz = Tz * SCoef;
+      const Real PPx = PMx[L] + (PMy[L] * Tz - PMz[L] * Ty);
+      const Real PPy = PMy[L] + (PMz[L] * Tx - PMx[L] * Tz);
+      const Real PPz = PMz[L] + (PMx[L] * Ty - PMy[L] * Tx);
+      PNx[L] = PMx[L] + (PPy * Sz - PPz * Sy) + EIx[L];
+      PNy[L] = PMy[L] + (PPz * Sx - PPx * Sz) + EIy[L];
+      PNz[L] = PMz[L] + (PPx * Sy - PPy * Sx) + EIz[L];
+      const Real Norm2 = PNx[L] * PNx[L] + PNy[L] * PNy[L] + PNz[L] * PNz[L];
+      Radicand[L] = Real(1) + Norm2 / (Mc[L] * Mc[L]);
+    }
+    LaneMath<Isa, LaneWidth>::sqrt(Radicand, Gamma);
+
+    // The drift and the stores.
+    for (int L = 0; L < W; ++L) {
+      const Real GammaM = Gamma[L] * Ln.Mass[L];
+      Ln.EndX[L] = Ln.X[L] + PNx[L] / GammaM * Dt;
+      Ln.EndY[L] = Ln.Y[L] + PNy[L] / GammaM * Dt;
+      Ln.EndZ[L] = Ln.Z[L] + PNz[L] / GammaM * Dt;
+      Ln.Px[L] = PNx[L];
+      Ln.Py[L] = PNy[L];
+      Ln.Pz[L] = PNz[L];
+      Ln.Gamma[L] = Gamma[L];
+    }
+  }
+
+  /// DipoleWaveAtTime at each lane's position, operation for operation.
+  /// The series and the closed form are selected per lane, and each is
+  /// computed only when some lane of the block takes it: nearly every
+  /// block takes only the closed form, whose lanes call the scalar libm
+  /// sin and cos (a vector libm is not bit-equal). The focus value is
+  /// selected last.
+  HICHI_ALWAYS_INLINE static void dipole(const PushLanes<Real> &Ln,
+                                         const DipoleWaveAtTime<Real> &Wave,
+                                         FieldLanes<Real> &F) {
+    constexpr int W = LaneWidth;
+    constexpr Real Threshold = DipoleRadialFunctions<Real>::Threshold;
+    Real R2[W], R[W], Kr[W];
+    for (int L = 0; L < W; ++L)
+      R2[L] = Ln.X[L] * Ln.X[L] + Ln.Y[L] * Ln.Y[L] + Ln.Z[L] * Ln.Z[L];
+    LaneMath<Isa, LaneWidth>::sqrt(R2, R);
+    Index Series[W], AnySeries = 0, AllSeries = 1;
+    for (int L = 0; L < W; ++L) {
+      Kr[L] = Wave.WaveNumber * R[L];
+      Series[L] = Kr[L] < Threshold;
+      AnySeries |= Series[L];
+      AllSeries &= Series[L];
+    }
+
+    // DipoleRadialFunctions::evaluate: the closed form at and above the
+    // threshold, the series below it.
+    Real F1[W] = {}, F2[W] = {}, F3[W] = {};
+    if (!AllSeries) {
+      Real Sin[W], Cos[W];
+      for (int L = 0; L < W; ++L) {
+        Sin[L] = Real(0);
+        Cos[L] = Real(0);
+        if (!Series[L]) {
+          Sin[L] = std::sin(Kr[L]);
+          Cos[L] = std::cos(Kr[L]);
+        }
+      }
+      for (int L = 0; L < W; ++L) {
+        const Real Inv = Real(1) / Kr[L], Inv2 = Inv * Inv, Inv3 = Inv2 * Inv;
+        F1[L] = Sin[L] * Inv2 - Cos[L] * Inv;
+        F2[L] = (Real(3) * Inv3 - Inv) * Sin[L] - Real(3) * Cos[L] * Inv2;
+        F3[L] = (Inv - Inv3) * Sin[L] + Cos[L] * Inv2;
+      }
+    }
+    if (AnySeries)
+      for (int L = 0; L < W; ++L) {
+        const Real X = Kr[L], X2 = X * X, X4 = X2 * X2;
+        const Real SF1 = X / Real(3) - X * X2 / Real(30) + X * X4 / Real(840);
+        const Real SF2 = X2 / Real(15) - X4 / Real(210);
+        const Real SF3 =
+            Real(2) / Real(3) - Real(2) * X2 / Real(15) + X4 / Real(140);
+        F1[L] = Series[L] ? SF1 : F1[L];
+        F2[L] = Series[L] ? SF2 : F2[L];
+        F3[L] = Series[L] ? SF3 : F3[L];
+      }
+
+    for (int L = 0; L < W; ++L) {
+      // Eq. 14 off the focus, then the focus value where R2 == 0.
+      const Real PX = Ln.X[L], PY = Ln.Y[L], PZ = Ln.Z[L];
+      const Real InvR = Real(1) / R[L], InvR2 = InvR * InvR;
+      const Real ECoef = Wave.ECoef * F1[L];
+      const bool Focus = R2[L] == Real(0);
+      F.Ex[L] = Focus ? Real(0) : -PY * InvR * ECoef;
+      F.Ey[L] = Focus ? Real(0) : PX * InvR * ECoef;
+      F.Ez[L] = Focus ? Real(0) : Real(0) * ECoef;
+      F.Bx[L] = Focus ? Real(0) : PX * PZ * InvR2 * F2[L] * Wave.BCoef;
+      F.By[L] = Focus ? Real(0) : PY * PZ * InvR2 * F2[L] * Wave.BCoef;
+      F.Bz[L] =
+          Focus ? Wave.FocusBz : (PZ * PZ * InvR2 * F2[L] + F3[L]) * Wave.BCoef;
+    }
+  }
 };
 
 template <typename Real, typename Isa>
@@ -248,65 +391,28 @@ void LaneKernels<Real, Isa>::push(PushLanes<Real> &Ln,
   axis(HY, G.Ny, 0, G.Nz, YH);
   axis(GZ, G.Nz, 0, 1, ZN);
   axis(HZ, G.Nz, 0, 1, ZH);
-  Real Ex[W], Ey[W], Ez[W], Bx[W], By[W], Bz[W];
-  gather(G.Ex, XH, YN, ZN, Ex);
-  gather(G.Ey, XN, YH, ZN, Ey);
-  gather(G.Ez, XN, YN, ZH, Ez);
-  gather(G.Bx, XN, YH, ZH, Bx);
-  gather(G.By, XH, YN, ZH, By);
-  gather(G.Bz, XH, YH, ZN, Bz);
-
-  // BorisPusher::push, operation for operation: the E half-kick and
-  // gamma^n at p^-.
-  Real QHalfDt[W], Mc[W], EIx[W], EIy[W], EIz[W], PMx[W], PMy[W], PMz[W];
-  Real Radicand[W], Gamma[W];
-  for (int L = 0; L < W; ++L) {
-    QHalfDt[L] = Ln.Charge[L] * G.Dt * Real(0.5);
-    Mc[L] = Ln.Mass[L] * G.C;
-    EIx[L] = Ex[L] * QHalfDt[L];
-    EIy[L] = Ey[L] * QHalfDt[L];
-    EIz[L] = Ez[L] * QHalfDt[L];
-    PMx[L] = Ln.Px[L] + EIx[L];
-    PMy[L] = Ln.Py[L] + EIy[L];
-    PMz[L] = Ln.Pz[L] + EIz[L];
-    const Real Norm2 = PMx[L] * PMx[L] + PMy[L] * PMy[L] + PMz[L] * PMz[L];
-    Radicand[L] = Real(1) + Norm2 / (Mc[L] * Mc[L]);
-  }
-  LaneMath<Isa, LaneWidth>::sqrt(Radicand, Gamma);
-
-  // The rotation about B, the second half-kick and gamma at n+1/2.
-  Real PNx[W], PNy[W], PNz[W];
-  for (int L = 0; L < W; ++L) {
-    const Real TCoef = QHalfDt[L] / (Gamma[L] * Mc[L]);
-    const Real Tx = Bx[L] * TCoef, Ty = By[L] * TCoef, Tz = Bz[L] * TCoef;
-    const Real SCoef = Real(2) / (Real(1) + (Tx * Tx + Ty * Ty + Tz * Tz));
-    const Real Sx = Tx * SCoef, Sy = Ty * SCoef, Sz = Tz * SCoef;
-    const Real PPx = PMx[L] + (PMy[L] * Tz - PMz[L] * Ty);
-    const Real PPy = PMy[L] + (PMz[L] * Tx - PMx[L] * Tz);
-    const Real PPz = PMz[L] + (PMx[L] * Ty - PMy[L] * Tx);
-    PNx[L] = PMx[L] + (PPy * Sz - PPz * Sy) + EIx[L];
-    PNy[L] = PMy[L] + (PPz * Sx - PPx * Sz) + EIy[L];
-    PNz[L] = PMz[L] + (PPx * Sy - PPy * Sx) + EIz[L];
-    const Real Norm2 = PNx[L] * PNx[L] + PNy[L] * PNy[L] + PNz[L] * PNz[L];
-    Radicand[L] = Real(1) + Norm2 / (Mc[L] * Mc[L]);
-  }
-  LaneMath<Isa, LaneWidth>::sqrt(Radicand, Gamma);
-
-  // The drift and the stores.
-  for (int L = 0; L < W; ++L) {
-    const Real GammaM = Gamma[L] * Ln.Mass[L];
-    Ln.EndX[L] = Ln.X[L] + PNx[L] / GammaM * G.Dt;
-    Ln.EndY[L] = Ln.Y[L] + PNy[L] / GammaM * G.Dt;
-    Ln.EndZ[L] = Ln.Z[L] + PNz[L] / GammaM * G.Dt;
-    Ln.Px[L] = PNx[L];
-    Ln.Py[L] = PNy[L];
-    Ln.Pz[L] = PNz[L];
-    Ln.Gamma[L] = Gamma[L];
+  FieldLanes<Real> F;
+  gather(G.Ex, XH, YN, ZN, F.Ex);
+  gather(G.Ey, XN, YH, ZN, F.Ey);
+  gather(G.Ez, XN, YN, ZH, F.Ez);
+  gather(G.Bx, XN, YH, ZH, F.Bx);
+  gather(G.By, XH, YN, ZH, F.By);
+  gather(G.Bz, XH, YH, ZN, F.Bz);
+  boris(Ln, F, G.Dt, G.C);
+  for (int L = 0; L < W; ++L)
     Ln.Unwrapped[L] = 0;
-  }
   wrap(Ln.EndX, G.Origin.X, G.Extent.X, Ln.X, Ln.Unwrapped);
   wrap(Ln.EndY, G.Origin.Y, G.Extent.Y, Ln.Y, Ln.Unwrapped);
   wrap(Ln.EndZ, G.Origin.Z, G.Extent.Z, Ln.Z, Ln.Unwrapped);
+}
+
+template <typename Real, typename Isa>
+void LaneKernels<Real, Isa>::dipolePush(PushLanes<Real> &Ln,
+                                        const DipoleWaveAtTime<Real> &Wave,
+                                        Real Dt, Real C) {
+  FieldLanes<Real> F;
+  dipole(Ln, Wave, F);
+  boris(Ln, F, Dt, C);
 }
 
 template <typename Real, typename Isa>
@@ -443,29 +549,50 @@ template <typename Real> bool useAvx512Lanes() {
          !detail::BaselineLanesForced.load(std::memory_order_relaxed);
 }
 
-template <typename Real>
-void runPushLanes(PushLanes<Real> &Ln, const PushGeometry<Real> &G,
-                  bool Avx512) {
+/// Calls \p Body with the LaneKernels instantiation to run: AVX-512 when
+/// \p Avx512 is set (double only), the baseline otherwise.
+template <typename Real, typename BodyFn>
+void withLaneKernels(bool Avx512, BodyFn &&Body) {
 #if HICHI_LANES_AVX512
   if constexpr (std::is_same<Real, double>::value)
     if (Avx512)
-      return LaneKernels<double, Avx512Isa>::push(Ln, G);
+      return Body(LaneKernels<double, Avx512Isa>{});
 #endif
   (void)Avx512;
-  LaneKernels<Real, BaselineIsa>::push(Ln, G);
+  Body(LaneKernels<Real, BaselineIsa>{});
 }
 
 //===----------------------------------------------------------------------===//
 // Block loops: particle views in, lane blocks through, results out
 //===----------------------------------------------------------------------===//
 
+/// Loads particles [\p Block, \p Block + \p Live) of \p View into the
+/// lanes of \p Ln; the idle lanes of a partial block replicate the last
+/// live particle.
+template <typename Real, typename ViewT>
+void loadPushLanes(const ViewT &View, Index Block, int Live,
+                   const ParticleTypeInfo<Real> *Types, PushLanes<Real> &Ln) {
+  for (int L = 0; L < LaneWidth; ++L) {
+    const auto P = View[Block + (L < Live ? L : Live - 1)];
+    const Vector3<Real> Pos = P.position(), Mom = P.momentum();
+    const ParticleTypeInfo<Real> &Info = Types[P.type()];
+    Ln.X[L] = Pos.X;
+    Ln.Y[L] = Pos.Y;
+    Ln.Z[L] = Pos.Z;
+    Ln.Px[L] = Mom.X;
+    Ln.Py[L] = Mom.Y;
+    Ln.Pz[L] = Mom.Z;
+    Ln.Charge[L] = Info.Charge;
+    Ln.Mass[L] = Info.Mass;
+  }
+}
+
 /// Stage 1 over particles [\p Begin, \p End) of \p View on \p Grid: for
 /// each particle, OldPos = position, gather + Boris push, NewPos = the
 /// unwrapped endpoint, and the stored position wrapped into the box —
 /// bit for bit what YeeInterpolator, BorisPusher::push and
 /// YeeGrid::wrapPosition give one particle at a time. The last partial
-/// block replicates its last live particle into the idle lanes and
-/// stores only the live ones.
+/// block stores only its live lanes.
 template <typename Real, typename ViewT, typename GridT>
 void pushParticlesInLanes(const ViewT &View, Index Begin, Index End,
                           const GridT &Grid,
@@ -485,22 +612,10 @@ void pushParticlesInLanes(const ViewT &View, Index Begin, Index End,
   PushLanes<Real> Ln;
   for (Index Block = Begin; Block < End; Block += LaneWidth) {
     const int Live = End - Block < LaneWidth ? int(End - Block) : LaneWidth;
-    for (int L = 0; L < LaneWidth; ++L) {
-      const auto P = View[Block + (L < Live ? L : Live - 1)];
-      const Vector3<Real> Pos = P.position(), Mom = P.momentum();
-      const ParticleTypeInfo<Real> &Info = Types[P.type()];
-      Ln.X[L] = Pos.X;
-      Ln.Y[L] = Pos.Y;
-      Ln.Z[L] = Pos.Z;
-      Ln.Px[L] = Mom.X;
-      Ln.Py[L] = Mom.Y;
-      Ln.Pz[L] = Mom.Z;
-      Ln.Charge[L] = Info.Charge;
-      Ln.Mass[L] = Info.Mass;
-    }
+    loadPushLanes(View, Block, Live, Types, Ln);
     for (int L = 0; L < Live; ++L)
       OldPos[Block + L] = {Ln.X[L], Ln.Y[L], Ln.Z[L]};
-    runPushLanes(Ln, G, Avx512);
+    withLaneKernels<Real>(Avx512, [&](auto K) { K.push(Ln, G); });
     for (int L = 0; L < Live; ++L) {
       const auto P = View[Block + L];
       const Vector3<Real> Moved(Ln.EndX[L], Ln.EndY[L], Ln.EndZ[L]);
@@ -509,6 +624,30 @@ void pushParticlesInLanes(const ViewT &View, Index Begin, Index End,
       P.setGamma(Ln.Gamma[L]);
       P.setPosition(Ln.Unwrapped[L] ? Grid.wrapPosition(Moved)
                                     : Vector3<Real>(Ln.X[L], Ln.Y[L], Ln.Z[L]));
+    }
+  }
+}
+
+/// One step of the standalone pusher over particles [\p Begin, \p End)
+/// of \p View in the dipole wave \p Wave: bit for bit Wave at each
+/// particle's position followed by BorisPusher::push, one particle at a
+/// time. The last partial block stores only its live lanes.
+template <typename Real, typename ViewT>
+void pushDipoleInLanes(const ViewT &View, Index Begin, Index End,
+                       const DipoleWaveAtTime<Real> &Wave,
+                       const ParticleTypeInfo<Real> *Types, Real Dt, Real C) {
+  const bool Avx512 = useAvx512Lanes<Real>();
+  PushLanes<Real> Ln;
+  for (Index Block = Begin; Block < End; Block += LaneWidth) {
+    const int Live = End - Block < LaneWidth ? int(End - Block) : LaneWidth;
+    loadPushLanes(View, Block, Live, Types, Ln);
+    withLaneKernels<Real>(Avx512,
+                          [&](auto K) { K.dipolePush(Ln, Wave, Dt, C); });
+    for (int L = 0; L < Live; ++L) {
+      const auto P = View[Block + L];
+      P.setMomentum({Ln.Px[L], Ln.Py[L], Ln.Pz[L]});
+      P.setGamma(Ln.Gamma[L]);
+      P.setPosition({Ln.EndX[L], Ln.EndY[L], Ln.EndZ[L]});
     }
   }
 }

@@ -8,13 +8,18 @@
 /// Validation of the standing m-dipole wave (paper eq. 14-15): radial
 /// function identities against spherical Bessel forms, series/direct
 /// continuity at the switch point, focus limits, field structure
-/// (azimuthal E, div B = 0), and the standing-wave time dependence.
+/// (azimuthal E, div B = 0), the standing-wave time dependence, and the
+/// once-per-time binding of the time terms (atTime) to the last bit.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "fields/DipoleWave.h"
 
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <string>
+#include <vector>
 
 using namespace hichi;
 
@@ -211,6 +216,89 @@ TEST(PulsedDipoleWaveTest, ModulatesCarrierFields) {
   auto Ramp = Pulse(R, 1.0 * T, 0);
   EXPECT_NEAR(Ramp.B.norm() / Pulse.Carrier(R, 1.0 * T, 0).B.norm(), 0.5,
               1e-9);
+}
+
+//===----------------------------------------------------------------------===//
+// Binding the time terms once per time (atTime)
+//===----------------------------------------------------------------------===//
+
+/// Eq. 14 with every time term evaluated inside the sample, as
+/// DipoleWaveSource evaluated it before atTime bound them.
+template <typename Real>
+FieldSample<Real> unboundDipole(const DipoleWaveSource<Real> &W,
+                                const Vector3<Real> &Pos, Real Time) {
+  const Real R2 = Pos.norm2();
+  const Real R = std::sqrt(R2);
+  const auto F = DipoleRadialFunctions<Real>::evaluate(W.WaveNumber * R);
+  const Real Phase = W.WaveFrequency * Time;
+  const Real CosT = std::cos(Phase);
+  const Real SinT = std::sin(Phase);
+  const Real TwoA = Real(2) * W.Amplitude;
+  FieldSample<Real> Out;
+  if (R2 == Real(0)) {
+    Out.E = Vector3<Real>::zero();
+    Out.B = Vector3<Real>(0, 0, -TwoA * SinT * Real(2) / Real(3));
+    return Out;
+  }
+  const Real InvR = Real(1) / R;
+  const Real InvR2 = InvR * InvR;
+  Out.E = Vector3<Real>(-Pos.Y * InvR, Pos.X * InvR, Real(0)) *
+          (TwoA * CosT * F.F1);
+  Out.B = Vector3<Real>(Pos.X * Pos.Z * InvR2 * F.F2,
+                        Pos.Y * Pos.Z * InvR2 * F.F2,
+                        Pos.Z * Pos.Z * InvR2 * F.F2 + F.F3) *
+          (-TwoA * SinT);
+  return Out;
+}
+
+template <typename Real>
+bool sameBits(const FieldSample<Real> &A, const FieldSample<Real> &B) {
+  return std::memcmp(&A, &B, sizeof(FieldSample<Real>)) == 0;
+}
+
+/// atTime(t) samples both dipole sources exactly as operator()(..., t, ...)
+/// and as the unbound eq. 14: at the focus (also -0.0), on both sides of
+/// the series threshold, off axis, at times with cos(w0 t) of both signs
+/// and on every part of the pulse envelope.
+template <typename Real> void checkAtTime() {
+  PulsedDipoleWaveSource<Real> Pulse;
+  Pulse.Carrier = DipoleWaveSource<Real>::fromPower(Real(0.7), Real(1.3),
+                                                    Real(0.9));
+  const DipoleWaveSource<Real> &Wave = Pulse.Carrier;
+  const Real K = Wave.WaveNumber;
+  const Real T = DipoleRadialFunctions<Real>::Threshold;
+  const std::vector<Vector3<Real>> Points = {
+      {0, 0, 0},
+      {-0.0, 0, -0.0},
+      {Real(0.5) * T / K, -0.0, 0},
+      {0, T / K, Real(0.1)},
+      {Real(0.3), Real(-0.7), Real(1.9)},
+      {Real(-4.1), Real(2.2), Real(-0.0)},
+  };
+  const Real Period = Real(2) * Real(constants::Pi) / Wave.WaveFrequency;
+  for (Real Cycles : {-0.1, 0.05, 0.4, 1.3, 3.0, 6.9, 7.7, 9.0}) {
+    const Real Time = Cycles * Period;
+    const auto Bound = Wave.atTime(Time);
+    const auto PulseBound = Pulse.atTime(Time);
+    for (std::size_t I = 0; I < Points.size(); ++I) {
+      const Vector3<Real> &Pos = Points[I];
+      SCOPED_TRACE("cycles=" + std::to_string(Cycles) +
+                   " point=" + std::to_string(I));
+      const FieldSample<Real> Ref = unboundDipole(Wave, Pos, Time);
+      EXPECT_TRUE(sameBits(Bound(Pos, Index(I)), Ref));
+      EXPECT_TRUE(sameBits(Wave(Pos, Time, Index(I)), Ref));
+      FieldSample<Real> PulseRef = Ref;
+      PulseRef.E *= Pulse.envelope(Time);
+      PulseRef.B *= Pulse.envelope(Time);
+      EXPECT_TRUE(sameBits(PulseBound(Pos, Index(I)), PulseRef));
+      EXPECT_TRUE(sameBits(Pulse(Pos, Time, Index(I)), PulseRef));
+    }
+  }
+}
+
+TEST(DipoleAtTimeTest, BindingMatchesPerSampleEvaluation) {
+  checkAtTime<double>();
+  checkAtTime<float>();
 }
 
 //===----------------------------------------------------------------------===//

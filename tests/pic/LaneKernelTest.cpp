@@ -14,18 +14,24 @@
 ///     YeeGrid::wrapPosition, one particle at a time;
 ///   * the Esirkepov scatter against scatterCurrentEsirkepov through
 ///     GridCurrentSink, and the tiled accumulator's per-tile path against
-///     the same reference.
+///     the same reference;
+///   * the standalone pusher's dipole push against DipoleWaveSource +
+///     BorisPusher::push, in both layouts and both precisions.
 ///
 /// The particles mix electrons and positrons in one block, sit on nodes,
 /// half-nodes and the box faces (and several boxes away), carry
 /// -0.0 momenta, and move +-(1 - ulp) cells; the window is shifted, so
 /// the ring base is nonzero; and N = 8k + r covers every tail r in 0..7.
+/// The dipole particles sit at the focus (also as -0.0) and at kR just
+/// below, at and just above the series threshold, with -0.0 coordinates,
+/// at times where cos(w0 t) is positive and negative.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/BorisPusher.h"
 #include "core/ParticleArray.h"
 #include "exec/BackendRegistry.h"
+#include "fields/DipoleWave.h"
 #include "minisycl/minisycl.h"
 #include "pic/CurrentDeposition.h"
 #include "pic/FieldInterpolator.h"
@@ -57,10 +63,10 @@ constexpr double Dt = 0.21, C = 0.9;
 
 /// An electron and a positron of mass 1.3 and charge -+0.7, at the
 /// PS_Electron and PS_Positron slots.
-ParticleTypeTable<double> makeTypes() {
-  ParticleTypeTable<double> T;
-  T.addSpecies(1.3, -0.7);
-  T.addSpecies(1.3, 0.7);
+template <typename Real = double> ParticleTypeTable<Real> makeTypes() {
+  ParticleTypeTable<Real> T;
+  T.addSpecies(Real(1.3), Real(-0.7));
+  T.addSpecies(Real(1.3), Real(0.7));
   return T;
 }
 
@@ -132,14 +138,12 @@ ParticleArrayAoS<double> makeParticles(const YeeGrid<double> &G,
   return P;
 }
 
-bool sameBits(double A, double B) {
-  std::uint64_t X, Y;
-  std::memcpy(&X, &A, sizeof X);
-  std::memcpy(&Y, &B, sizeof Y);
-  return X == Y;
+template <typename Real> bool sameBits(Real A, Real B) {
+  return std::memcmp(&A, &B, sizeof(Real)) == 0;
 }
 
-void expectSameBits(const Vector3<double> &A, const Vector3<double> &B,
+template <typename Real>
+void expectSameBits(const Vector3<Real> &A, const Vector3<Real> &B,
                     const std::string &What) {
   EXPECT_TRUE(sameBits(A.X, B.X) && sameBits(A.Y, B.Y) && sameBits(A.Z, B.Z))
       << What << ": (" << A.X << ", " << A.Y << ", " << A.Z << ") vs ("
@@ -302,6 +306,84 @@ TEST_P(LaneKernelTest, TiledAccumulatorMatchesPerParticleScatter) {
     expectSameBits(Lane.Jy, Ref.Jy, "Jy");
     expectSameBits(Lane.Jz, Ref.Jz, "Jz");
   }
+}
+
+/// \p Count particles for the dipole wave with k = 1, alternating
+/// electron and positron: the focus (also as -0.0), kR = |coordinate|
+/// just below, at and just above the series threshold with -0.0 in the
+/// other coordinates, and random points out to kR ~ 5; momenta as in
+/// makeParticles.
+template <typename Array> Array makeDipoleParticles(Index Count) {
+  using Real = typename Array::Scalar;
+  const Real T = DipoleRadialFunctions<Real>::Threshold;
+  const Real Below = std::nextafter(T, Real(0));
+  const Real Above = std::nextafter(T, Real(1));
+  const std::vector<Vector3<Real>> Special = {
+      {0, 0, 0},         {-0.0, 0, -0.0},  {Below, -0.0, 0},
+      {-0.0, T, -0.0},   {0, -0.0, Above}, {-Below, 0, 0},
+      {-0.0, -T, 0},     {0, 0, -Above},   {T, T, -0.0},
+  };
+  RandomStream<Real> Rng(43);
+  Array P(Count);
+  for (Index I = 0; I < Count; ++I) {
+    ParticleT<Real> Part;
+    Part.Position = I % 3 == 0 ? Special[std::size_t(I / 3) % Special.size()]
+                               : Vector3<Real>(Rng.uniform(-3, 3),
+                                               Rng.uniform(-3, 3),
+                                               Rng.uniform(-3, 3));
+    Part.Momentum = {Rng.uniform(Real(-0.05), Real(0.05)),
+                     Rng.uniform(Real(-0.05), Real(0.05)),
+                     Rng.uniform(Real(-0.05), Real(0.05))};
+    if (I % 4 == 1)
+      Part.Momentum = {-0.0, 0.0, -0.0};
+    if (I % 4 == 2)
+      Part.Momentum.Y = -0.0;
+    Part.Type = I % 2 ? PS_Positron : PS_Electron;
+    P.pushBack(Part);
+  }
+  return P;
+}
+
+/// pushDipoleInLanes against DipoleWaveSource::operator() and
+/// BorisPusher::push one particle at a time, on \p Array's layout and
+/// precision.
+template <typename Array> void checkDipolePush() {
+  using Real = typename Array::Scalar;
+  const auto Types = makeTypes<Real>();
+  const auto Wave = DipoleWaveSource<Real>::fromPower(1, 1, 1);
+  ASSERT_EQ(Wave.WaveNumber, Real(1));
+  // w0 = 1: cos(w0 t) is positive at t = 0.3 and negative at t = 2.
+  for (Real Time : {Real(0.3), Real(2)})
+    for (Index R = 0; R < LaneWidth; ++R)
+      for (Index Begin : {Index(0), Index(3)}) {
+        const Index N = 4 * LaneWidth + R;
+        SCOPED_TRACE("t=" + std::to_string(Time) + " N=" + std::to_string(N) +
+                     " begin=" + std::to_string(Begin));
+        Array Ref = makeDipoleParticles<Array>(N);
+        Array Lane = makeDipoleParticles<Array>(N);
+        for (Index I = Begin; I < N; ++I) {
+          auto P = Ref[I];
+          BorisPusher::push<Real>(P, Wave(P.position(), Time, I),
+                                  Types.data(), Real(Dt), Real(C));
+        }
+        pushDipoleInLanes(Lane.view(), Begin, N, Wave.atTime(Time),
+                          Types.data(), Real(Dt), Real(C));
+        for (Index I = 0; I < N; ++I) {
+          const std::string At = "particle " + std::to_string(I);
+          expectSameBits(Lane[I].position(), Ref[I].position(),
+                         At + " position");
+          expectSameBits(Lane[I].momentum(), Ref[I].momentum(),
+                         At + " momentum");
+          EXPECT_TRUE(sameBits(Lane[I].gamma(), Ref[I].gamma())) << At;
+        }
+      }
+}
+
+TEST_P(LaneKernelTest, DipolePushMatchesPerParticleCode) {
+  checkDipolePush<ParticleArrayAoS<double>>();
+  checkDipolePush<ParticleArraySoA<double>>();
+  checkDipolePush<ParticleArrayAoS<float>>();
+  checkDipolePush<ParticleArraySoA<float>>();
 }
 
 INSTANTIATE_TEST_SUITE_P(Paths, LaneKernelTest,
